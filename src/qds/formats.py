@@ -49,6 +49,17 @@ def _single(directives: dict[str, list[list[str]]], key: str, required: bool = T
     return rows[0]
 
 
+def _natural(tok: str, message: str) -> int:
+    """A non-negative integer written in ASCII digits; `str.isdigit` alone
+    also passes superscripts and other Unicode digits."""
+    if tok.isascii() and tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # beyond the interpreter's digit limit
+            pass
+    raise InputError(message)
+
+
 def parse_nfa(text: str) -> Nfa:
     directives, plain = _collect(_tokenize(text), "nfa")
     known = {"@alphabet", "@states", "@initial", "@final"}
@@ -87,16 +98,18 @@ def parse_qds(text: str) -> Qds:
         raise InputError(f"unknown directives: {sorted(unknown)}")
     alphabet = tuple(_single(directives, "@alphabet"))
     layers_row = _single(directives, "@layers")
-    if len(layers_row) != 1 or not layers_row[0].isdigit():
+    if len(layers_row) != 1:
         raise InputError("@layers needs one integer")
-    m = int(layers_row[0])
+    m = _natural(layers_row[0], "@layers needs one integer")
     layer_rows = directives.get("@layer", [])
+    if len(layer_rows) < m:  # before allocating m layers
+        raise InputError("every layer 1..m needs a @layer line")
     layers: list[tuple[str, ...]] = [()] * m
     seen_idx = set()
     for row in layer_rows:
-        if not row or not row[0].isdigit():
+        if not row:
             raise InputError("@layer needs an index then the layer's states")
-        idx = int(row[0])
+        idx = _natural(row[0], "@layer needs an index then the layer's states")
         if not (1 <= idx <= m) or idx in seen_idx:
             raise InputError(f"bad or repeated layer index {idx}")
         seen_idx.add(idx)
@@ -117,9 +130,10 @@ def parse_qds(text: str) -> Qds:
         delta[key] = row[2]
     gamma: dict[str, GammaEntry] = {}
     for row in directives.get("@gamma", []):
-        if len(row) != 3 or not row[2].isdigit():
+        if len(row) != 3:
             raise InputError("@gamma needs: source target-or-_ shift")
-        src, target, shift = row[0], row[1], int(row[2])
+        src, target = row[0], row[1]
+        shift = _natural(row[2], "@gamma needs: source target-or-_ shift")
         if src in gamma:
             raise InputError(f"duplicate gamma entry for {src}")
         gamma[src] = (None if target == "_" else target, shift)

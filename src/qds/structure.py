@@ -11,12 +11,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError, PreconditionError
 from .words import Word, as_word, word_str
 
 GammaEntry = tuple[str | None, int]  # (target or bottom, shift)
+
+
+class QdsTables(NamedTuple):
+    """A structure compiled to integers for membership.
+
+    State number i is stored as its row offset i*width, so a read is the one
+    subscript ``delta[state + code]``; -1 is bottom. Row offsets divided by
+    `width` index `gamma` and `Qds.states`.
+    """
+
+    code: dict[str, int]                 # symbol -> column
+    width: int                           # row length, max(|alphabet|, 1)
+    initial: int
+    delta: list[int]
+    gamma: list[tuple[int, int] | None]  # (target or -1, shift) on the top layer
+    finals: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -88,6 +104,21 @@ class Qds:
         """State -> 1-based layer index."""
         return {q: j + 1 for j, layer in enumerate(self.layers) for q in layer}
 
+    @cached_property
+    def tables(self) -> QdsTables:
+        """Integer tables for `qds_membership`, built on first use."""
+        width = max(len(self.alphabet), 1)
+        code = {a: i for i, a in enumerate(self.alphabet)}
+        row = {q: i * width for i, q in enumerate(self.states)}
+        delta = [-1] * (len(self.states) * width)
+        for (p, a), q in self.delta.items():
+            delta[row[p] + code[a]] = row[q]
+        gamma: list[tuple[int, int] | None] = [None] * len(self.states)
+        for p, (target, shift) in self.gamma.items():
+            gamma[row[p] // width] = (-1 if target is None else row[target], shift)
+        return QdsTables(code, width, row[self.initial], delta, gamma,
+                         frozenset(row[q] for q in self.finals))
+
     def step(self, state: str | None, symbol: str) -> str | None:
         """Bottom-absorbing one-symbol delta (bottom on top-layer states)."""
         if symbol not in self.alphabet:
@@ -148,82 +179,74 @@ class MembershipResult:
 
 
 def extended_delta(s: Qds, q: str, w: Iterable[str]) -> str | None:
-    """The recursive extended transition function.
+    """The extended transition function, straight from its recursive
+    definition but run as a loop over windows.
 
-    Reads at most one window: shorter words run through delta alone, longer
-    ones consult gamma on the window image and recurse on the shifted rest.
-    `qds_membership` is the iterative counterpart; the two must agree.
+    A word no longer than the window runs through delta alone; a longer one
+    consults gamma on the image of its first window and continues from the
+    target on the shifted rest. It reads the string-keyed maps through
+    `Qds.chain`, never `Qds.tables`, so it stays an independent oracle for
+    `qds_membership`; the two must agree.
     """
     if q not in set(s.layers[0]):
         raise PreconditionError(f"state {q!r} is not a layer-1 state")
     w = as_word(w)
-    if len(w) <= s.window:
-        return s.chain(q, w)
-    top = s.chain(q, w[: s.window])
-    target, shift = s.gamma[top] if top is not None else (None, 1)
-    if target is None:
-        return None
-    return extended_delta(s, target, w[shift:])
+    start = 0
+    while len(w) - start > s.window:
+        top = s.chain(q, w[start:start + s.window])
+        target, shift = s.gamma[top] if top is not None else (None, 1)
+        if target is None:
+            return None
+        q, start = target, start + shift
+    return s.chain(q, w[start:])
 
 
 def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> MembershipResult:
     """Iterative windowed membership test.
 
-    Runs in constant working space beyond the input; `reads` counts every
-    symbol handed to delta, for checking the k*ceil(|w|/s) time bound.
+    Encodes the word once through `Qds.tables` (which also rejects unknown
+    symbols) and walks the codes with an index cursor, so the working space
+    is one encoded copy of the input plus O(1); no window is copied. `reads`
+    counts every symbol handed to delta, the one that hits bottom included,
+    for checking the k*ceil(|w|/s) time bound.
     """
     w = as_word(w)
-    for sym in w:
-        if sym not in s.alphabet:
-            raise InputError(f"unknown symbol {sym!r}")
-    k = s.window
+    t = s.tables
+    try:
+        codes = [t.code[sym] for sym in w]
+    except KeyError as exc:
+        raise InputError(f"unknown symbol {exc.args[0]!r}") from None
+    delta, gamma, width, k, n = t.delta, t.gamma, t.width, s.window, len(codes)
     steps: list[TraceStep] = []
-    reads = 0
-    shifts = 0
-
-    def chain_counted(state: str | None, part: Word) -> str | None:
-        nonlocal reads
-        for sym in part:
-            if state is None:
-                return None
-            reads += 1
-            state = s.delta.get((state, sym))
-        return state
-
-    if len(w) <= k:
-        terminal = chain_counted(s.initial, w)
+    reads = shifts = 0
+    terminal = -1
+    current, start = t.initial, 0
+    while current >= 0:
+        stop = min(start + k, n)
+        state, cursor = current, stop
+        for i in range(start, stop):
+            state = delta[state + codes[i]]
+            if state < 0:
+                cursor = i + 1  # the symbol that hit bottom was read too
+                break
+        reads += cursor - start
+        if n - start <= k:  # the last window, possibly partial: no gamma
+            terminal, target, shift = state, -1, 0
+        else:
+            target, shift = gamma[state // width] if state >= 0 else (-1, 0)
         if want_trace:
-            steps.append(TraceStep(0, s.initial, w, None))
-        return MembershipResult(
-            accepted=terminal in s.finals if terminal is not None else False,
-            terminal=terminal,
-            shifts=0,
-            reads=reads,
-            trace=RunTrace(tuple(steps), terminal) if want_trace else None,
-        )
-
-    current: str | None = s.initial
-    offset = 0
-    rest = w
-    while len(rest) > k and current is not None:
-        top = chain_counted(current, rest[:k])
-        target, shift = s.gamma[top] if top is not None else (None, 1)
-        if want_trace:
-            steps.append(TraceStep(offset, current, rest[:k], shift if target is not None else None))
-        current = target
-        if target is not None:
+            steps.append(TraceStep(start, s.states[current // width], w[start:stop],
+                                   shift if target >= 0 else None))
+        if target >= 0:
             shifts += 1
-        rest = rest[shift:]
-        offset += shift
-    terminal = chain_counted(current, rest) if current is not None else None
-    if want_trace and current is not None:
-        steps.append(TraceStep(offset, current, rest, None))
+        current, start = target, start + shift
+    name = s.states[terminal // width] if terminal >= 0 else None
     return MembershipResult(
-        accepted=terminal in s.finals if terminal is not None else False,
-        terminal=terminal,
+        accepted=terminal in t.finals,
+        terminal=name,
         shifts=shifts,
         reads=reads,
-        trace=RunTrace(tuple(steps), terminal) if want_trace else None,
+        trace=RunTrace(tuple(steps), name) if want_trace else None,
     )
 
 

@@ -199,6 +199,15 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unicode_digit_layer_count_exit_2(tmp_path, capsys):
+    p = tmp_path / "sup.qds"
+    p.write_text("@type qds\n@alphabet a\n@layers \u00b2\n@layer 1 p\n@layer 2 q\n"
+                 "@initial p\np a q\n@gamma q p 1\n", encoding="utf-8")
+    assert main(["stats", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["stats", "/nonexistent/x.qds"]) == 2
 

@@ -93,6 +93,25 @@ def test_parse_errors():
         )
 
 
+def test_parse_qds_numbers_are_ascii_digits():
+    base = "@type qds\n@alphabet a\n@initial p\np a q\n"
+    good = {"layers": "2", "layer": "1", "gamma": "1"}
+    for key in good:
+        for bad in ("\u00b2", "\u0663", "+1", "9" * 5000):  # superscript two, Arabic-Indic three
+            tok = dict(good, **{key: bad})
+            text = (base + f"@layers {tok['layers']}\n@layer {tok['layer']} p\n"
+                    f"@layer 2 q\n@gamma q p {tok['gamma']}\n")
+            with pytest.raises(InputError):
+                parse_qds(text)
+    assert parse_qds(base + "@layers 2\n@layer 1 p\n@layer 2 q\n@gamma q p 1\n").m == 2
+
+
+def test_parse_qds_checks_layer_count_before_allocating():
+    # without the check this asks for a list of 10**12 layers
+    with pytest.raises(InputError, match="@layer line"):
+        parse_qds("@type qds\n@alphabet a\n@layers 1000000000000\n@layer 1 p\n@initial p\n")
+
+
 def test_parse_word_modes():
     assert parse_word("abba", ("a", "b")) == ("a", "b", "b", "a")
     assert parse_word("", ("a",)) == ()

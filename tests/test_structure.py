@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qds import (
@@ -9,11 +11,13 @@ from qds import (
     build_qds,
     dfa_to_qds,
     extended_delta,
+    gen_sk_qds,
     lint_qds,
     prune_unreachable,
     qds_membership,
     qds_stats,
 )
+from qds.formats import parse_qds, serialize_qds
 from qds.structure import format_trace
 from qds.words import words_up_to
 from tests.conftest import mk_nfa
@@ -91,8 +95,16 @@ def test_membership_matches_extended_delta_everywhere(two_lane_qds, three_state_
         [("1", "a", "1"), ("1", "b", "1"), ("1", "a", "2"), ("2", "a", "3"), ("2", "b", "3")],
     )
     structures.append(prune_unreachable(build_qds(sm, 3, 3)))
+    structures.append(gen_sk_qds(2))
+    rng = random.Random(11)
     for s in structures:
         for w in words_up_to(s.alphabet, 12 if len(s.alphabet) < 3 else 7):
+            r = qds_membership(s, w)
+            assert r.terminal == extended_delta(s, s.initial, w)
+            assert r.accepted == (r.terminal in s.finals if r.terminal else False)
+        # long words: extended_delta runs as a loop, so no recursion limit
+        for _ in range(3):
+            w = tuple(rng.choice(s.alphabet) for _ in range(20_000))
             r = qds_membership(s, w)
             assert r.terminal == extended_delta(s, s.initial, w)
             assert r.accepted == (r.terminal in s.finals if r.terminal else False)
@@ -107,14 +119,30 @@ def test_membership_worked_example(two_lane_qds):
     assert not b.accepted and b.terminal == "3"
 
 
-def test_reads_bound(two_lane_qds, three_state_dfa):
-    import random
+def test_unknown_symbol_after_bottom_still_raises(two_lane_qds):
+    w = "abbb" + "a" * 10_000  # the run hits bottom on the fourth symbol
+    r = qds_membership(two_lane_qds, w)
+    assert r.terminal is None and r.reads == 4
+    with pytest.raises(InputError, match="unknown symbol 'x'"):
+        qds_membership(two_lane_qds, w + "x")
+    with pytest.raises(InputError, match="unknown symbol 'x'"):
+        qds_membership(gen_sk_qds(2), "ab" * 5_000 + "x")
 
+
+def test_cached_tables_leave_equality_alone(two_lane_qds):
+    s = gen_sk_qds(3)
+    for t in (s, two_lane_qds):
+        qds_membership(t, "abba" * 10)
+        assert "tables" in vars(t)
+        assert parse_qds(serialize_qds(t)) == t
+
+
+def test_reads_bound(two_lane_qds, three_state_dfa):
     rng = random.Random(5)
     for s in (two_lane_qds, dfa_to_qds(three_state_dfa)):
         min_shift = qds_stats(s).min_shift
         for trial in range(200):
-            n = rng.randrange(0, 40)
+            n = rng.randrange(0, 40) if trial % 4 else rng.randrange(1_000, 5_000)
             w = tuple(rng.choice(s.alphabet) for _ in range(n))
             r = qds_membership(s, w)
             bound = s.window * (-(-len(w) // min_shift)) + s.window
@@ -201,8 +229,6 @@ def test_stats_values(two_lane_qds, three_state_dfa):
     assert (st.total_states, st.m, st.min_shift) == (8, 3, 1)
     emb = qds_stats(dfa_to_qds(three_state_dfa))
     assert (emb.total_states, emb.min_shift) == (6, 1)
-    from qds import gen_sk_qds
-
     assert qds_stats(gen_sk_qds(0)).total_states == 5
 
 
