@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from .errors import PreconditionError
 from .kl import StepTable, step_table
-from .nfa import Dfa, Nfa, delta_word
-from .structure import GammaEntry, Qds
+from .nfa import Dfa, Nfa, closure, delta_word
+from .structure import GammaEntry, Qds, restrict_qds
 from .words import Word, word_str, words_of_length
 
 
@@ -72,47 +72,11 @@ def prune_unreachable(s: Qds) -> Qds:
     """Restrict to states reachable from the initial along delta edges and
     non-bottom gamma targets; trailing layers left empty are dropped (a
     fresh top layer gets all-bottom gamma). Language unchanged."""
-    succ: dict[str, set[str]] = {}
-    for (p, _), q in s.delta.items():
-        succ.setdefault(p, set()).add(q)
-    for p, (target, _) in s.gamma.items():
-        if target is not None:
-            succ.setdefault(p, set()).add(target)
-    seen = {s.initial}
-    stack = [s.initial]
-    while stack:
-        p = stack.pop()
-        for q in succ.get(p, ()):
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return _restrict_qds(s, seen)
-
-
-def _restrict_qds(s: Qds, keep: set[str]) -> Qds:
-    """Shared restriction: keep the given states (the initial always stays),
-    drop dangling edges and trailing empty layers, keep at least 2 layers."""
-    keep = set(keep) | {s.initial}
-    layers = [tuple(q for q in layer if q in keep) for layer in s.layers]
-    while len(layers) > 2 and not layers[-1]:
-        layers.pop()
-    delta = {
-        (p, x): q for (p, x), q in s.delta.items() if p in keep and q in keep
-    }
-    gamma: dict[str, GammaEntry] = {}
-    for p in layers[-1]:
-        target, shift = s.gamma.get(p, (None, 1))
-        if target is not None and target not in keep:
-            target = None
-        gamma[p] = (target, shift)
-    return Qds(
-        alphabet=s.alphabet,
-        layers=tuple(layers),
-        initial=s.initial,
-        finals=s.finals & keep,
-        delta=delta,
-        gamma=gamma,
-    )
+    arcs = [(p, q) for (p, _), q in s.delta.items()]
+    arcs += [(p, t) for p, (t, _) in s.gamma.items() if t is not None]
+    keep = closure({s.initial}, arcs)
+    delta = {(p, x): q for (p, x), q in s.delta.items() if p in keep}
+    return restrict_qds(s, keep, delta, s.gamma, s.finals & keep)
 
 
 def dfa_to_qds(d: Nfa) -> Qds:

@@ -9,7 +9,6 @@ can branch on negative-vs-error without parsing text.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import build, family, formats, kl, reduction, structure, trim
@@ -80,13 +79,13 @@ def _cmd_exists(args) -> int:
 
 def _cmd_minimal(args) -> int:
     a = _load_nfa(args.file)
-    if not kl.exists_kl(a).exists:
-        print("NONE no pair exists for any (k,l)")
-        return 1
     kmax = args.kmax if args.kmax is not None else kl.default_kmax(a)
     found = kl.find_minimal_kl(a, kmax)
     if found is None:
-        print(f"NONE search exhausted at kmax={kmax}; a pair exists beyond the cap")
+        if not kl.exists_kl(a).exists:
+            print("NONE no pair exists for any (k,l)")
+        else:
+            print(f"NONE search exhausted at kmax={kmax}; a pair exists beyond the cap")
         return 1
     print(f"MINIMAL k={found[0]} l={found[1]}")
     return 0
@@ -268,15 +267,11 @@ def _parser() -> argparse.ArgumentParser:
         description="decide window-lookahead unambiguity of NFAs and run "
         "quasi-deterministic sliding-window recognizers",
     )
-    default_seed = int(os.environ.get("QDS_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=default_seed)
-        p.add_argument("--porcelain", action="store_true",
-                       help="machine mode: no human summary lines")
         return p
 
     p = add("check", _cmd_check, help="is the automaton (k,l)-unambiguous?")
@@ -345,6 +340,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = add("family", _cmd_family, help="size/throughput report for the witness family")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--porcelain", action="store_true",
+                   help="machine mode: no human summary lines")
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--csv", default=None, help="write the report CSV here")
     p.add_argument("--emit", type=int, default=None, metavar="K",

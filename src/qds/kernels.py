@@ -6,11 +6,9 @@ in the package. States are packed into machine-word bitmasks; the scan runs
 as the depth-first ``_dfs_witness`` compiled by numba, a vectorized numpy
 scan, or a plain-Python reference.
 
-Backend selection: the QDS_KERNEL environment variable may be set to
-``numba``, ``numpy`` or ``python``; the default (``auto``) uses numba when it
-imports, numpy otherwise. numba is the optional extra ``qds[numba]``; without
-it QDS_KERNEL=numba raises InputError. Automata beyond MAX_TABLE_STATES states
-always take the python path (the mask tables grow as 2^|Q|).
+Backend selection: numba when it imports (it is the optional extra
+``qds[numba]``), numpy otherwise. Automata beyond MAX_TABLE_STATES states take
+the python path, because the mask tables grow as 2^|Q|.
 
 A bad row is a pair (q, w) such that for every split 1 <= i <= l more than
 one state reached from q by w[1..i] can still read w[i+1..k]. All three
@@ -19,8 +17,6 @@ scan order, or None; an automaton is (k,l)-unambiguous iff no bad row exists.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -89,14 +85,14 @@ def _load_numba():
     return _numba_witness
 
 
-def encode_nfa(a: Nfa) -> tuple[np.ndarray, dict[str, int], dict[str, int]]:
-    """Per-symbol successor masks plus the state/symbol index maps."""
+def encode_nfa(a: Nfa) -> np.ndarray:
+    """succ[a][q] = bitmask of the a-successors of state q."""
     state_ix = {q: i for i, q in enumerate(a.states)}
     sym_ix = {s: i for i, s in enumerate(a.alphabet)}
     succ = np.zeros((len(a.alphabet), len(a.states)), dtype=np.int64)
     for p, x, q in a.transitions:
         succ[sym_ix[x], state_ix[p]] |= 1 << state_ix[q]
-    return succ, state_ix, sym_ix
+    return succ
 
 
 def _mask_tables(succ: np.ndarray, n: int):
@@ -169,15 +165,8 @@ def _python_witness(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
 
 
 def backend_name() -> str:
-    """The backend the next call will use, honouring QDS_KERNEL."""
-    mode = os.environ.get("QDS_KERNEL", "auto").lower()
-    if mode not in ("auto", "numba", "numpy", "python"):
-        raise InputError(f"QDS_KERNEL must be auto/numba/numpy/python, not {mode!r}")
-    if mode == "auto":
-        return "numba" if _load_numba() is not None else "numpy"
-    if mode == "numba" and _load_numba() is None:
-        raise InputError("QDS_KERNEL=numba but numba is not importable")
-    return mode
+    """The packed backend in use for automata up to MAX_TABLE_STATES states."""
+    return "numpy" if _load_numba() is None else "numba"
 
 
 def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
@@ -187,20 +176,17 @@ def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
             f"window scan |alphabet|^k = {len(a.alphabet)}^{k} is over the "
             f"enumeration limit {MAX_ENUMERATION}"
         )
-    mode = backend_name()
-    if mode == "python" or len(a.states) > MAX_TABLE_STATES:
+    if len(a.states) > MAX_TABLE_STATES:
         return _python_witness(a, k, l)
-    succ, state_ix, _ = encode_nfa(a)
     n, nsym = len(a.states), len(a.alphabet)
-    set_succ, pre_live, popcount = _mask_tables(succ, n)
-    if mode == "numba":
-        out = _load_numba()(set_succ, pre_live, popcount, n, nsym, k, l)
-        if out[0] < 0:
-            return None
-        q = a.states[int(out[0])]
-        return q, tuple(a.alphabet[int(s)] for s in out[1:])
-    hit = _numpy_witness(set_succ, pre_live, popcount, n, nsym, k, l)
+    set_succ, pre_live, popcount = _mask_tables(encode_nfa(a), n)
+    numba_witness = _load_numba()
+    if numba_witness is None:
+        hit = _numpy_witness(set_succ, pre_live, popcount, n, nsym, k, l)
+    else:
+        out = numba_witness(set_succ, pre_live, popcount, n, nsym, k, l)
+        hit = None if out[0] < 0 else (int(out[0]), out[1:])
     if hit is None:
         return None
     q_ix, sym_ixs = hit
-    return a.states[q_ix], tuple(a.alphabet[s] for s in sym_ixs)
+    return a.states[q_ix], tuple(a.alphabet[int(s)] for s in sym_ixs)

@@ -37,12 +37,8 @@ class PairState:
 class SquareAutomaton:
     """Accessible part of the product of an automaton with itself."""
 
-    source: Nfa
     states: frozenset[PairState]
     transitions: frozenset[tuple[PairState, str, PairState]]
-
-    def successors(self, p: PairState, symbol: str) -> frozenset[PairState]:
-        return frozenset(t for s, a, t in self.transitions if s == p and a == symbol)
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,6 @@ class StepTable:
 @dataclass(frozen=True)
 class KlReport:
     exists: bool
-    witness_pair: tuple[int, int] | None
     certificate: tuple[PairState, ...] | None  # diagonal-free cycle when exists=False
 
 
@@ -93,7 +88,7 @@ def square_automaton(a: Nfa) -> SquareAutomaton:
                     if target not in seen:
                         seen.add(target)
                         frontier.append(target)
-    return SquareAutomaton(a, frozenset(seen), frozenset(transitions))
+    return SquareAutomaton(frozenset(seen), frozenset(transitions))
 
 
 def _find_cycle(nodes: set[PairState], edges: dict[PairState, list[PairState]]):
@@ -147,9 +142,7 @@ def exists_kl(a: Nfa) -> KlReport:
         if s in nodes and t in nodes and t not in edges[s]:
             edges[s].append(t)
     cycle = _find_cycle(nodes, edges)
-    if cycle is None:
-        return KlReport(exists=True, witness_pair=None, certificate=None)
-    return KlReport(exists=False, witness_pair=None, certificate=cycle)
+    return KlReport(exists=cycle is None, certificate=cycle)
 
 
 def kl_witness(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:

@@ -12,14 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Hashable, Iterable, TypeVar
 
 from .errors import InputError, PreconditionError
-from .words import as_word
+from .words import as_word, check_token
 
 Transition = tuple[str, str, str]
-
-RESERVED_TOKENS = frozenset({"_"})  # "_" spells bottom / epsilon in text formats
+Node = TypeVar("Node", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,9 @@ class Nfa:
         if len(self.alphabet) != len(alpha_set):
             raise InputError("duplicate alphabet symbols")
         for tok in self.alphabet:
-            if not tok or any(c.isspace() for c in tok) or tok in RESERVED_TOKENS:
-                raise InputError(f"bad symbol token {tok!r}")
+            check_token(tok, "symbol token")
         for q in self.states:
-            if not q or any(c.isspace() for c in q) or q in RESERVED_TOKENS:
-                raise InputError(f"bad state id {q!r}")
+            check_token(q, "state id")
         if not self.initials <= state_set:
             raise InputError("initial states not all declared")
         if not self.finals <= state_set:
@@ -152,34 +149,27 @@ def _restrict(a: Nfa, keep: set[str]) -> Nfa:
     )
 
 
-def accessible_states(a: Nfa) -> set[str]:
-    seen = set(a.initials)
-    stack = list(a.initials)
-    succ_any: dict[str, set[str]] = {}
-    for p, _, q in a.transitions:
-        succ_any.setdefault(p, set()).add(q)
+def closure(start: Iterable[Node], arcs: Iterable[tuple[Node, Node]]) -> set[Node]:
+    """Every node reachable from `start` along the (source, target) arcs."""
+    succ: dict[Node, list[Node]] = {}
+    for p, q in arcs:
+        succ.setdefault(p, []).append(q)
+    seen = set(start)
+    stack = list(seen)
     while stack:
-        p = stack.pop()
-        for q in succ_any.get(p, ()):
+        for q in succ.get(stack.pop(), ()):
             if q not in seen:
                 seen.add(q)
                 stack.append(q)
     return seen
 
 
+def accessible_states(a: Nfa) -> set[str]:
+    return closure(a.initials, ((p, q) for p, _, q in a.transitions))
+
+
 def coaccessible_states(a: Nfa) -> set[str]:
-    seen = set(a.finals)
-    stack = list(a.finals)
-    pred_any: dict[str, set[str]] = {}
-    for p, _, q in a.transitions:
-        pred_any.setdefault(q, set()).add(p)
-    while stack:
-        q = stack.pop()
-        for p in pred_any.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
+    return closure(a.finals, ((q, p) for p, _, q in a.transitions))
 
 
 def accessible_part(a: Nfa) -> Nfa:

@@ -37,9 +37,6 @@ class LayeredPartition:
     def is_identity(self) -> bool:
         return all(len(cls) == 1 for layer in self.layers for cls in layer)
 
-    def same(self, a: str, b: str) -> bool:
-        return self.class_of.get(a) is not None and self.class_of.get(a) == self.class_of.get(b)
-
 
 def _group(states: tuple[str, ...], sig) -> tuple[frozenset[str], ...]:
     """Partition `states` by signature, classes ordered by first member."""

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Container, Iterable, Mapping, NamedTuple
 
 from .errors import InputError, PreconditionError
-from .words import Word, as_word, word_str
+from .words import Word, as_word, check_token, word_str
 
 GammaEntry = tuple[str | None, int]  # (target or bottom, shift)
 
@@ -53,21 +53,19 @@ class Qds:
         if len(self.layers) < 2:
             raise InputError("a QDS needs at least two layers")
         for tok in self.alphabet:
-            if not tok or any(c.isspace() for c in tok) or tok == "_":
-                raise InputError(f"bad symbol token {tok!r}")
+            check_token(tok, "symbol token")
         seen: set[str] = set()
         for layer in self.layers:
             for q in layer:
                 if q in seen:
                     raise InputError(f"state {q!r} appears in two layers")
-                if not q or any(c.isspace() for c in q) or q == "_":
-                    raise InputError(f"bad state id {q!r}")
+                check_token(q, "state id")
                 seen.add(q)
-        if self.initial not in set(self.layers[0]):
+        layer_of = self.layer_of
+        if layer_of.get(self.initial) != 1:
             raise InputError("initial state must sit in layer 1")
         if not self.finals <= seen:
             raise InputError("final states not all declared")
-        layer_of = {q: j for j, layer in enumerate(self.layers) for q in layer}
         alpha = set(self.alphabet)
         for (p, a), q in self.delta.items():
             if a not in alpha:
@@ -84,7 +82,7 @@ class Qds:
         for p, (target, shift) in self.gamma.items():
             if not (1 <= shift <= self.m):
                 raise InputError(f"gamma shift at {p!r} out of range 1..{self.m}")
-            if target is not None and target not in set(self.layers[0]):
+            if target is not None and layer_of.get(target) != 1:
                 raise InputError(f"gamma target of {p!r} must sit in layer 1")
 
     @property
@@ -132,6 +130,29 @@ class Qds:
         for sym in as_word(w):
             state = self.step(state, sym)
         return state
+
+
+def restrict_qds(
+    s: Qds,
+    keep: Container[str],
+    delta: Mapping[tuple[str, str], str],
+    gamma: Mapping[str, GammaEntry],
+    finals: Iterable[str],
+) -> Qds:
+    """`s` cut down to the states in `keep`, with the given delta, gamma and
+    finals. Trailing layers left empty are dropped (keeping at least two); a
+    top-layer state missing from `gamma` gets a bottom target and shift 1."""
+    layers = [tuple(q for q in layer if q in keep) for layer in s.layers]
+    while len(layers) > 2 and not layers[-1]:
+        layers.pop()
+    return Qds(
+        alphabet=s.alphabet,
+        layers=tuple(layers),
+        initial=s.initial,
+        finals=frozenset(finals),
+        delta=delta,
+        gamma={p: gamma.get(p, (None, 1)) for p in layers[-1]},
+    )
 
 
 @dataclass(frozen=True)
@@ -188,7 +209,7 @@ def extended_delta(s: Qds, q: str, w: Iterable[str]) -> str | None:
     `Qds.chain`, never `Qds.tables`, so it stays an independent oracle for
     `qds_membership`; the two must agree.
     """
-    if q not in set(s.layers[0]):
+    if s.layer_of.get(q) != 1:
         raise PreconditionError(f"state {q!r} is not a layer-1 state")
     w = as_word(w)
     start = 0

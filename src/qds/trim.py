@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .structure import GammaEntry, Qds
+from .nfa import closure
+from .structure import Qds, restrict_qds
 from .words import Word
 
 Token = str | int  # extended alphabet: symbols plus shift lengths
@@ -126,18 +127,8 @@ def compute_useful(s: Qds) -> UsefulReport:
     is accessible and coaccessible; states, edges and finalities of the QDS
     are useful iff some useful instance witnesses them."""
     pdfa = build_path_dfa(s)
-    reverse: dict[PathDfaState, list[PathDfaState]] = {}
-    for (src, _), dst in pdfa.transitions.items():
-        reverse.setdefault(dst, []).append(src)
-    coacc = set(pdfa.finals)
-    stack = list(pdfa.finals)
-    while stack:
-        q = stack.pop()
-        for p in reverse.get(q, ()):
-            if p not in coacc:
-                coacc.add(p)
-                stack.append(p)
-    useful = {p for p in pdfa.states if p in coacc}  # all built states are accessible
+    # all built states are accessible, so the coaccessible ones are useful
+    useful = closure(pdfa.finals, ((dst, src) for (src, _), dst in pdfa.transitions.items()))
 
     states = {p.base for p in useful} | {s.initial}
     delta_edges: set[tuple[str, str, str]] = set()
@@ -165,20 +156,10 @@ def trim_qds(s: Qds) -> Qds:
     unchanged, idempotent. Gamma entries whose edge is useless collapse to
     bottom; trailing layers left empty are dropped (keeping at least two)."""
     report = compute_useful(s)
-    keep = set(report.useful_states)
-    layers = [tuple(q for q in layer if q in keep) for layer in s.layers]
-    while len(layers) > 2 and not layers[-1]:
-        layers.pop()
-    delta = {(p, x): q for p, x, q in report.useful_delta}
-    gamma_by_src = {p: (q, l) for p, l, q in report.useful_gamma}
-    gamma: dict[str, GammaEntry] = {
-        p: gamma_by_src.get(p, (None, 1)) for p in layers[-1]
-    }
-    return Qds(
-        alphabet=s.alphabet,
-        layers=tuple(layers),
-        initial=s.initial,
-        finals=frozenset(report.useful_finalities),
-        delta=delta,
-        gamma=gamma,
+    return restrict_qds(
+        s,
+        report.useful_states,
+        {(p, x): q for p, x, q in report.useful_delta},
+        {p: (q, l) for p, l, q in report.useful_gamma},
+        report.useful_finalities,
     )

@@ -6,7 +6,16 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
+from .errors import InputError
+
 Word = tuple[str, ...]
+
+
+def check_token(tok: str, kind: str) -> None:
+    """State ids and symbols are non-empty and whitespace-free, and may not
+    be "_", which spells bottom / the empty word in the text formats."""
+    if not tok or any(c.isspace() for c in tok) or tok == "_":
+        raise InputError(f"bad {kind} {tok!r}")
 
 
 def as_word(w: Iterable[str]) -> Word:

@@ -20,6 +20,22 @@ def sm_file(tmp_path, suffix_marker_nfa):
 
 
 @pytest.fixture
+def no_pair_file(tmp_path):
+    """Two a-loops entered from one fork: the square automaton has the
+    diagonal-free cycle (1,2) -> (1,2), so no (k,l) pair exists."""
+    bad = mk_nfa(
+        "a",
+        ["0", "1", "2"],
+        ["0"],
+        ["1"],
+        [("0", "a", "1"), ("0", "a", "2"), ("1", "a", "1"), ("2", "a", "2")],
+    )
+    p = tmp_path / "bad.nfa"
+    p.write_text(serialize_nfa(bad))
+    return str(p)
+
+
+@pytest.fixture
 def qds_file(tmp_path, two_lane_qds):
     p = tmp_path / "lanes.qds"
     p.write_text(serialize_qds(two_lane_qds))
@@ -42,19 +58,10 @@ def test_check_bad_params_exit_2(w4_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_exists(w4_file, tmp_path, capsys):
+def test_exists(w4_file, no_pair_file, capsys):
     assert main(["exists", w4_file]) == 0
-    bad = mk_nfa(
-        "a",
-        ["0", "1", "2"],
-        ["0"],
-        ["1"],
-        [("0", "a", "1"), ("0", "a", "2"), ("1", "a", "1"), ("2", "a", "2")],
-    )
-    p = tmp_path / "bad.nfa"
-    p.write_text(serialize_nfa(bad))
     capsys.readouterr()
-    assert main(["exists", str(p)]) == 1
+    assert main(["exists", no_pair_file]) == 1
     assert "certificate=" in capsys.readouterr().out
 
 
@@ -63,6 +70,27 @@ def test_minimal(w4_file, capsys):
     assert "MINIMAL k=4 l=3" in capsys.readouterr().out
     assert main(["minimal", "--kmax", "2", w4_file]) == 1
     assert "exhausted" in capsys.readouterr().out
+
+
+def test_minimal_no_pair_exists(no_pair_file, capsys):
+    assert main(["minimal", no_pair_file]) == 1
+    assert capsys.readouterr().out == "NONE no pair exists for any (k,l)\n"
+
+
+def test_seed_environment_variable_is_not_read(w4_file, capsys, monkeypatch):
+    monkeypatch.setenv("QDS_SEED", "abc")
+    assert main(["exists", w4_file]) == 0
+    assert capsys.readouterr().out == "EXISTS\n"
+
+
+def test_seed_and_porcelain_belong_to_family_only(w4_file, tmp_path, capsys):
+    for flag in (["--seed", "1"], ["--porcelain"]):
+        assert main(["check", *flag, "--k", "4", "--l", "3", w4_file]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    csv = tmp_path / "gap.csv"
+    assert main(["family", "--seed", "1", "--kmax", "1", "--csv", str(csv), "--porcelain"]) == 0
+    assert capsys.readouterr().err == ""
+    assert csv.read_text().startswith("k,nfa_states")
 
 
 def test_steptable(sm_file, capsys):

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qds import InputError, build_qds, dfa_to_qds, prune_unreachable, trim_qds
+from qds import InputError, Qds, QdsError, build_qds, dfa_to_qds, prune_unreachable, trim_qds
 from qds.formats import (
     nfa_to_dot,
     parse_automaton,
@@ -149,3 +151,59 @@ def test_serialized_sets_follow_declared_order():
     text = serialize_nfa(a)
     assert "@states z y x" in text
     assert "@final y x" in text  # declared order, not sorted
+
+
+TOKENS = st.sampled_from(
+    ("a", "p", "_", "0", "2", "9", "\u00b2", "+1", "@a", "@layer", "@gamma", "a#")
+) | st.text(max_size=3)
+
+
+@st.composite
+def automaton_texts(draw):
+    """A well-formed `@type nfa` or `@type qds` document of directive and
+    edge lines, then damaged by up to three token swaps, dropped, doubled or
+    stray lines."""
+    names = draw(st.permutations(("p", "q", "r", "s", "t")))
+    alphabet = draw(st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=2, unique=True))
+    pick = lambda xs: draw(st.sampled_from(xs))
+    if draw(st.booleans()):
+        states = names[: draw(st.integers(1, 4))]
+        layers = [states]
+        lines = ["@type nfa", "@states " + " ".join(states), "@initial " + states[0]]
+        lines += [f"{pick(states)} {pick(alphabet)} {pick(states)}"
+                  for _ in range(draw(st.integers(0, 4)))]
+    else:
+        layers = [names[0:1], names[1:3], names[3:5]][: draw(st.integers(2, 3))]
+        lines = ["@type qds", f"@layers {len(layers)}", "@initial " + names[0]]
+        lines += [f"@layer {j} " + " ".join(layer) for j, layer in enumerate(layers, 1)]
+        lines += [f"{p} {x} {pick(nxt)}" for layer, nxt in zip(layers, layers[1:])
+                  for p in layer for x in alphabet if draw(st.booleans())]
+        lines += [f"@gamma {p} {pick(names[0:1] + ['_'])} {draw(st.integers(1, len(layers)))}"
+                  for p in layers[-1]]
+    lines += ["@alphabet " + " ".join(alphabet),
+              "@final " + " ".join(draw(st.lists(st.sampled_from(sum(layers, [])), max_size=2)))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        row = lines[i].split()
+        edit = draw(st.sampled_from(("token", "drop", "double", "stray")))
+        if edit == "token" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(TOKENS)
+            lines[i] = " ".join(row)
+        elif edit == "drop" and len(lines) > 2:
+            del lines[i]
+        elif edit == "double":
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(i, " ".join(draw(st.lists(TOKENS, max_size=4))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text() | automaton_texts())
+def test_parse_automaton_raises_only_qds_error_and_round_trips(text):
+    try:
+        obj = parse_automaton(text)
+    except QdsError:
+        return
+    back = serialize_qds(obj) if isinstance(obj, Qds) else serialize_nfa(obj)
+    assert parse_automaton(back) == obj

@@ -6,13 +6,8 @@ from qds import InputError, accessible_part, kernels, random_nfa
 from qds.kernels import MAX_TABLE_STATES, backend_name, find_bad_row
 
 
-def set_mode(monkeypatch, mode):
-    monkeypatch.setenv("QDS_KERNEL", mode)
-
-
-def reference_cases(monkeypatch):
+def reference_cases():
     """(automaton, k, l) cases and the python reference's answer to each."""
-    set_mode(monkeypatch, "python")
     cases = []
     for seed in range(30):
         a = accessible_part(
@@ -22,62 +17,44 @@ def reference_cases(monkeypatch):
             continue
         for k, l in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3)):
             cases.append((a, k, l))
-    return cases, [find_bad_row(a, k, l) for a, k, l in cases]
+    return cases, [kernels._python_witness(a, k, l) for a, k, l in cases]
 
 
-@pytest.mark.parametrize("mode", ["python", "numpy", "numba"])
-def test_backends_agree_with_reference(monkeypatch, mode):
-    """All backends return the same verdict and the same first witness in
-    (state, lex-word) scan order. The numba case runs the kernel body
-    uncompiled, as NUMBA_DISABLE_JIT=1 would, so it checks the kernel and its
-    output decoding wherever numba is absent; the compiled kernel is checked
-    by test_compiled_numba_agrees_with_reference."""
-    cases, expected = reference_cases(monkeypatch)
-    if mode == "numba":
-        monkeypatch.setattr(kernels, "_load_numba", lambda: kernels._dfs_witness)
-    set_mode(monkeypatch, mode)
+@pytest.mark.parametrize("backend", ["numpy", "numba"])
+def test_backends_agree_with_reference(monkeypatch, backend):
+    """Both packed backends return the same verdict and the same first
+    witness in (state, lex-word) scan order as the python reference. The
+    numba case runs the kernel body uncompiled, as NUMBA_DISABLE_JIT=1 would,
+    so it checks the kernel and its output decoding wherever numba is absent;
+    the compiled kernel is checked by test_compiled_numba_agrees_with_reference."""
+    cases, expected = reference_cases()
+    kernel = kernels._dfs_witness if backend == "numba" else None
+    monkeypatch.setattr(kernels, "_load_numba", lambda: kernel)
+    assert backend_name() == backend
     assert [find_bad_row(a, k, l) for a, k, l in cases] == expected
 
 
-def test_compiled_numba_agrees_with_reference(monkeypatch):
+def test_compiled_numba_agrees_with_reference():
     pytest.importorskip("numba")
-    cases, expected = reference_cases(monkeypatch)
-    set_mode(monkeypatch, "numba")
+    cases, expected = reference_cases()
+    assert backend_name() == "numba"
     assert [find_bad_row(a, k, l) for a, k, l in cases] == expected
 
 
-def test_env_flag_selects_backend(monkeypatch):
-    set_mode(monkeypatch, "numpy")
-    assert backend_name() == "numpy"
-    set_mode(monkeypatch, "python")
-    assert backend_name() == "python"
-    set_mode(monkeypatch, "nonsense")
-    with pytest.raises(InputError):
-        backend_name()
-
-
-def test_auto_prefers_numba(monkeypatch):
-    monkeypatch.delenv("QDS_KERNEL", raising=False)
+def test_auto_prefers_numba():
     has_numba = importlib.util.find_spec("numba") is not None
     assert backend_name() == ("numba" if has_numba else "numpy")
-    if not has_numba:
-        set_mode(monkeypatch, "numba")
-        with pytest.raises(InputError, match="numba is not importable"):
-            backend_name()
 
 
-def test_enumeration_guard(monkeypatch):
-    set_mode(monkeypatch, "python")
+def test_enumeration_guard():
     a = random_nfa(0, 2, 3, 0.5, 0.5)
     with pytest.raises(InputError):
         find_bad_row(a, 40, 1)
 
 
-def test_large_state_sets_fall_back_to_python(monkeypatch):
-    # packed tables stop at MAX_TABLE_STATES; beyond that every mode answers
-    # via the reference path and verdicts must not change
+def test_large_state_sets_fall_back_to_python():
+    # packed tables stop at MAX_TABLE_STATES; beyond that the reference path
+    # answers and verdicts must not change
     a = accessible_part(random_nfa(3, MAX_TABLE_STATES + 2, 2, 0.2, 0.3))
-    set_mode(monkeypatch, "python")
-    want = find_bad_row(a, 2, 1)
-    set_mode(monkeypatch, "numpy")
-    assert find_bad_row(a, 2, 1) == want
+    assert len(a.states) > MAX_TABLE_STATES
+    assert find_bad_row(a, 2, 1) == kernels._python_witness(a, 2, 1)

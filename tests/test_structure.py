@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -254,13 +255,20 @@ def test_lint_flags_full_window_shift():
 
 
 def test_qds_validation_errors():
-    with pytest.raises(InputError):
-        Qds(("a",), (("p",),), "p", frozenset(), {}, {})  # one layer
-    with pytest.raises(InputError):
-        Qds(("a",), (("p",), ("p",)), "p", frozenset(), {}, {"p": ("p", 1)})
-    with pytest.raises(InputError):
-        Qds(("a",), (("p",), ("q",)), "q", frozenset(), {}, {"q": ("p", 1)})
-    with pytest.raises(InputError):  # delta must advance one layer
+    def two_layers(**changes):
+        fields = dict(alphabet=("a",), layers=(("p",), ("q",)), initial="p",
+                      finals=frozenset(), delta={}, gamma={"q": ("p", 1)})
+        return Qds(**{**fields, **changes})
+
+    with pytest.raises(InputError, match="at least two layers"):
+        Qds(("a",), (("p",),), "p", frozenset(), {}, {})
+    with pytest.raises(InputError, match="'p' appears in two layers"):
+        two_layers(layers=(("p",), ("p",)), gamma={"p": ("p", 1)})
+    with pytest.raises(InputError, match="initial state must sit in layer 1"):
+        two_layers(initial="q")
+    with pytest.raises(InputError, match="final states not all declared"):
+        two_layers(finals=frozenset({"r"}))
+    with pytest.raises(InputError, match=r"delta edge \(p,a,r\) must advance exactly one layer"):
         Qds(
             ("a",),
             (("p",), ("q",), ("r",)),
@@ -269,7 +277,18 @@ def test_qds_validation_errors():
             {("p", "a"): "r"},
             {"r": ("p", 1)},
         )
-    with pytest.raises(InputError):  # gamma not total on the top layer
-        Qds(("a",), (("p",), ("q",)), "p", frozenset(), {}, {})
-    with pytest.raises(InputError):  # shift out of range
-        Qds(("a",), (("p",), ("q",)), "p", frozenset(), {}, {"q": ("p", 3)})
+    with pytest.raises(InputError, match="delta symbol 'b' not in alphabet"):
+        two_layers(delta={("p", "b"): "q"})
+    with pytest.raises(InputError, match=r"delta endpoint not declared: \(p,a,r\)"):
+        two_layers(delta={("p", "a"): "r"})
+    with pytest.raises(InputError, match="gamma must be defined on exactly the last layer"):
+        two_layers(gamma={})
+    with pytest.raises(InputError, match=r"gamma shift at 'q' out of range 1\.\.2"):
+        two_layers(gamma={"q": ("p", 3)})
+    with pytest.raises(InputError, match="gamma target of 'r' must sit in layer 1"):
+        Qds(("a",), (("p",), ("q",), ("r",)), "p", frozenset(), {}, {"r": ("q", 1)})
+    for bad in ("_", "a b", "\t", ""):
+        with pytest.raises(InputError, match=re.escape(f"bad state id {bad!r}")):
+            two_layers(layers=(("p", bad), ("q",)))
+        with pytest.raises(InputError, match=re.escape(f"bad symbol token {bad!r}")):
+            two_layers(alphabet=("a", bad))
