@@ -12,7 +12,6 @@ from .kl import (
     SquareAutomaton,
     StepEntry,
     StepTable,
-    default_kmax,
     exists_kl,
     find_minimal_kl,
     is_k_lookahead_deterministic,

@@ -79,13 +79,9 @@ def _cmd_exists(args) -> int:
 
 def _cmd_minimal(args) -> int:
     a = _load_nfa(args.file)
-    kmax = args.kmax if args.kmax is not None else kl.default_kmax(a)
-    found = kl.find_minimal_kl(a, kmax)
+    found = kl.find_minimal_kl(a)
     if found is None:
-        if not kl.exists_kl(a).exists:
-            print("NONE no pair exists for any (k,l)")
-        else:
-            print(f"NONE search exhausted at kmax={kmax}; a pair exists beyond the cap")
+        print("NONE no pair exists for any (k,l)")
         return 1
     print(f"MINIMAL k={found[0]} l={found[1]}")
     return 0
@@ -283,7 +279,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = add("minimal", _cmd_minimal, help="smallest working (k,l) pair")
-    p.add_argument("--kmax", type=int, default=None)
     p.add_argument("file")
 
     p = add("steptable", _cmd_steptable, help="step index/successor table as TSV")

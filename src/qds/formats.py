@@ -2,7 +2,8 @@
 
 Both formats are UTF-8, whitespace-tokenized, with `#` starting a comment.
 The token `_` is reserved: it spells the empty word and the bottom target in
-gamma lines, so neither states nor symbols may use it.
+gamma lines, so neither states nor symbols may use it; nor may they start
+with `@` or contain `#`.
 """
 
 from __future__ import annotations
@@ -251,15 +252,18 @@ def _pstate_name(p) -> str:
 
 def path_dfa_to_nfa(pdfa: PathDfa) -> Nfa:
     """The accessible path-DFA as a plain automaton over the extended
-    alphabet; shift tokens are namespaced as #1..#m so a symbol literally
-    named "1" cannot collide."""
+    alphabet; shift tokens are spelled +1..+m, with more "+" in front when
+    the structure's own alphabet already has such a symbol."""
     s = pdfa.source
-    alphabet = tuple(s.alphabet) + tuple(f"#{l}" for l in range(1, s.m + 1))
+    plus = "+"
+    while any(f"{plus}{l}" in s.alphabet for l in range(1, s.m + 1)):
+        plus += "+"
+    alphabet = tuple(s.alphabet) + tuple(f"{plus}{l}" for l in range(1, s.m + 1))
     names = {p: _pstate_name(p) for p in pdfa.states}
     transitions = tuple(
         (
             names[src],
-            token if isinstance(token, str) else f"#{token}",
+            token if isinstance(token, str) else f"{plus}{token}",
             names[dst],
         )
         for (src, token), dst in pdfa.transitions.items()

@@ -7,12 +7,17 @@ all (state, window) rows against the defining cardinality condition. The
 enumeration is the ground truth the rest of the package trusts; the square
 criterion is the polynomial decision procedure. Keeping both honest against
 each other is a core part of the test suite.
+
+The square graph also gives the minimal window: a (k,k) bad row exists iff
+the diagonal-free square graph has a path of k nodes. Such a path gives two
+runs from some (q,q) that differ at every position; conversely a bad row has
+two live states at every position, and Menger's theorem turns that trellis
+into two vertex-disjoint runs. Hence k_min = 1 + the longest such path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import kernels
 from .errors import InputError, PreconditionError
@@ -60,6 +65,7 @@ class StepTable:
 class KlReport:
     exists: bool
     certificate: tuple[PairState, ...] | None  # diagonal-free cycle when exists=False
+    k_min: int | None  # smallest k with (k,k)-unambiguity; None when exists=False
 
 
 def _require_single_initial(a: Nfa) -> str:
@@ -91,11 +97,15 @@ def square_automaton(a: Nfa) -> SquareAutomaton:
     return SquareAutomaton(frozenset(seen), frozenset(transitions))
 
 
-def _find_cycle(nodes: set[PairState], edges: dict[PairState, list[PairState]]):
-    """Any directed cycle in the given subgraph, as a node sequence whose
-    last element loops back to the first; None if acyclic."""
+def _cycle_or_longest_path(
+    nodes: set[PairState], edges: dict[PairState, list[PairState]]
+) -> tuple[tuple[PairState, ...] | None, int]:
+    """Depth-first search of the given subgraph: (cycle, 0) for the first
+    directed cycle met, as a node sequence whose last element loops back to
+    the first; (None, n) when acyclic, n the node count of a longest path."""
     WHITE, GREY, BLACK = 0, 1, 2
     color = {v: WHITE for v in nodes}
+    depth: dict[PairState, int] = {}  # nodes on a longest path from a finished node
     for root in sorted(nodes, key=repr):
         if color[root] != WHITE:
             continue
@@ -109,24 +119,28 @@ def _find_cycle(nodes: set[PairState], edges: dict[PairState, list[PairState]]):
                 stack[-1] = (node, idx + 1)
                 nxt = succs[idx]
                 if color[nxt] == GREY:
-                    return tuple(path[path.index(nxt):])
+                    return tuple(path[path.index(nxt):]), 0
                 if color[nxt] == WHITE:
                     color[nxt] = GREY
                     stack.append((nxt, 0))
                     path.append(nxt)
             else:
                 color[node] = BLACK
+                depth[node] = 1 + max((depth[t] for t in succs), default=0)
                 stack.pop()
                 path.pop()
-    return None
+    return None, max(depth.values(), default=0)
 
 
 def exists_kl(a: Nfa) -> KlReport:
-    """Does any (k,l) make `a` unambiguous?
+    """Does any (k,l) make `a` unambiguous, and from which k on?
 
     True iff deleting the diagonal states from the accessible square
     automaton leaves an acyclic graph; a surviving cycle is returned as the
-    certificate. Runs in time polynomial in |Q|^2 x |alphabet|.
+    certificate. Otherwise k_min = 1 + the node count of a longest path in
+    that graph (1 when it is empty): a (k,k) bad row exists iff some path
+    has k nodes, see the module docstring. Runs in time polynomial in
+    |Q|^2 x |alphabet|.
     """
     _require_single_initial(a)
     missing = set(a.states) - accessible_states(a)
@@ -141,8 +155,10 @@ def exists_kl(a: Nfa) -> KlReport:
     for s, _, t in sorted(square.transitions, key=repr):
         if s in nodes and t in nodes and t not in edges[s]:
             edges[s].append(t)
-    cycle = _find_cycle(nodes, edges)
-    return KlReport(exists=cycle is None, certificate=cycle)
+    cycle, longest = _cycle_or_longest_path(nodes, edges)
+    if cycle is not None:
+        return KlReport(exists=False, certificate=cycle, k_min=None)
+    return KlReport(exists=True, certificate=None, k_min=1 + longest)
 
 
 def kl_witness(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
@@ -163,41 +179,13 @@ def is_kl_unambiguous(a: Nfa, k: int, l: int) -> bool:
     return kl_witness(a, k, l) is None
 
 
-def _futures(a: Nfa, length: int) -> dict[str, frozenset[Word]]:
-    """For every state, the words of the given length labelling some path
-    out of it (materialized, so keep `length` small)."""
-
-    @lru_cache(maxsize=None)
-    def futures(q: str, d: int) -> frozenset[Word]:
-        if d == 0:
-            return frozenset({()})
-        out: set[Word] = set()
-        for sym in a.alphabet:
-            for nxt in a.successors(q, sym):
-                out.update((sym,) + rest for rest in futures(nxt, d - 1))
-        return frozenset(out)
-
-    return {q: futures(q, length) for q in a.states}
-
-
 def is_k_lookahead_deterministic(a: Nfa, k: int) -> bool:
     """True iff any two out-transitions of a state toward distinct targets
-    have disjoint symbol-prefixed length-(k-1) futures."""
+    have disjoint symbol-prefixed length-(k-1) futures, which is exactly
+    (k,1)-unambiguity."""
     if k < 1:
         raise PreconditionError("lookahead needs k >= 1")
-    _require_single_initial(a)
-    fut = _futures(a, k - 1)
-    by_src: dict[str, list[tuple[str, str]]] = {}
-    for p, x, q in a.transitions:
-        by_src.setdefault(p, []).append((x, q))
-    for p, arcs in by_src.items():
-        for i, (x1, q1) in enumerate(arcs):
-            for x2, q2 in arcs[i + 1:]:
-                if q1 == q2 or x1 != x2:
-                    continue  # distinct symbols make the prefixed sets disjoint
-                if fut[q1] & fut[q2]:
-                    return False
-    return True
+    return kl_witness(a, k, 1) is None
 
 
 def step(a: Nfa, k: int, l: int, q: str, w) -> StepEntry:
@@ -238,29 +226,15 @@ def step_table(a: Nfa, k: int, l: int) -> StepTable:
     return StepTable(k=k, l=l, entries=entries)
 
 
-def default_kmax(a: Nfa) -> int:
-    """Heuristic search cap |Q|(|Q|-1)+1: beyond it an ambiguous pair walk
-    must already have revisited a non-diagonal pair state."""
-    n = len(a.states)
-    return n * (n - 1) + 1
+def find_minimal_kl(a: Nfa) -> tuple[int, int] | None:
+    """Lexicographically smallest (k,l) making `a` unambiguous; None exactly
+    when no pair exists.
 
-
-def find_minimal_kl(a: Nfa, k_max: int | None = None) -> tuple[int, int] | None:
-    """Lexicographically smallest (k,l) with k <= k_max making `a`
-    unambiguous; None when exists_kl rules it out (no search) or when the
-    cap is too small.
-
-    Unambiguity at (k,l) implies it at (k+1,l): larger windows only shrink
-    the live sets. So scanning k upward and returning the first hit is
-    exhaustive.
+    k is `exists_kl(a).k_min`: no smaller k works even at l = k, and
+    (k_min, k_min) does by the square-graph theorem, so only l = 1..k_min is
+    scanned at that single k.
     """
-    if exists_kl(a).exists is False:
+    k = exists_kl(a).k_min
+    if k is None:
         return None
-    if k_max is None:
-        k_max = default_kmax(a)
-    for k in range(1, k_max + 1):
-        if is_kl_unambiguous(a, k, k):
-            for l in range(1, k + 1):
-                if is_kl_unambiguous(a, k, l):
-                    return (k, l)
-    return None
+    return next((k, l) for l in range(1, k + 1) if is_kl_unambiguous(a, k, l))

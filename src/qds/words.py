@@ -12,9 +12,11 @@ Word = tuple[str, ...]
 
 
 def check_token(tok: str, kind: str) -> None:
-    """State ids and symbols are non-empty and whitespace-free, and may not
-    be "_", which spells bottom / the empty word in the text formats."""
-    if not tok or any(c.isspace() for c in tok) or tok == "_":
+    """State ids and symbols are what the text formats can carry: non-empty,
+    whitespace-free, not "_" (bottom / the empty word), not starting with "@"
+    (a directive) and without "#" (a comment)."""
+    if (not tok or any(c.isspace() for c in tok) or tok == "_"
+            or tok.startswith("@") or "#" in tok):
         raise InputError(f"bad {kind} {tok!r}")
 
 

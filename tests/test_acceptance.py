@@ -15,7 +15,6 @@ import pytest
 from qds import (
     accessible_part,
     build_qds,
-    default_kmax,
     determinize,
     dfa_to_qds,
     equiv_fixpoint,
@@ -188,11 +187,11 @@ def test_acceptance_6_reduction(rigid_pair_qds, slack_pair_qds):
         seed += 1
         if not a.states:
             continue
-        pair = find_minimal_kl(a, 3)
-        if pair is None:
+        k_min = exists_kl(a).k_min
+        if k_min is None or k_min > 3:
             continue
         made += 1
-        s = prune_unreachable(build_qds(a, *pair))
+        s = prune_unreachable(build_qds(a, *find_minimal_kl(a)))
         partition = equiv_fixpoint(s)
         assert partition.steps <= min(len(layer) for layer in s.layers)
         prev = _refine(s, None)
@@ -221,17 +220,20 @@ def test_acceptance_7_oracle_equivalence():
         a = corpus_nfa(seed)
         if not a.states:
             continue
-        cap = default_kmax(a)
-        exists = exists_kl(a).exists
+        n = len(a.states)
+        bound = n * (n - 1) + 1  # off-diagonal pairs, plus one
+        verdict = exists_kl(a)
         found = None
-        for k in range(1, cap + 1):
+        for k in range(1, bound + 1):
             if is_kl_unambiguous(a, k, k):
                 for l in range(1, k + 1):
                     if is_kl_unambiguous(a, k, l):
                         found = (k, l)
                         break
                 break
-        assert exists == (found is not None), seed
+        assert verdict.exists == (found is not None), seed
+        if found is not None:
+            assert found[0] == verdict.k_min, seed
         agreements += 1
         for k in range(1, 5):
             assert is_k_lookahead_deterministic(a, k) == is_kl_unambiguous(a, k, 1)

@@ -32,17 +32,17 @@ def test_size_formula_unary():
 
 
 def test_size_formula_random_instances():
-    from qds import accessible_part, find_minimal_kl
+    from qds import accessible_part, exists_kl, find_minimal_kl
 
     built = 0
     for seed in range(30):
         a = accessible_part(random_nfa(seed, 1 + seed % 4, 1 + seed % 2, 0.3, 0.4))
         if not a.states:
             continue
-        pair = find_minimal_kl(a, 4)
-        if pair is None:
+        k_min = exists_kl(a).k_min
+        if k_min is None or k_min > 4:
             continue
-        k, l = pair
+        k, l = find_minimal_kl(a)
         s = build_qds(a, k, l)
         sigma, n = len(a.alphabet), len(a.states)
         want = n * (k + 1) if sigma == 1 else n * (sigma ** (k + 1) - 1) // (sigma - 1)

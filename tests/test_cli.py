@@ -1,8 +1,15 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qds.cli import main
 from qds.formats import parse_nfa, parse_qds, serialize_nfa, serialize_qds
 from tests.conftest import mk_nfa
+from tests.test_formats import automaton_texts
 
 
 @pytest.fixture
@@ -68,8 +75,11 @@ def test_exists(w4_file, no_pair_file, capsys):
 def test_minimal(w4_file, capsys):
     assert main(["minimal", w4_file]) == 0
     assert "MINIMAL k=4 l=3" in capsys.readouterr().out
-    assert main(["minimal", "--kmax", "2", w4_file]) == 1
-    assert "exhausted" in capsys.readouterr().out
+
+
+def test_minimal_has_no_kmax(w4_file, capsys):
+    assert main(["minimal", "--kmax", "2", w4_file]) == 2
+    assert "unrecognized arguments: --kmax" in capsys.readouterr().err
 
 
 def test_minimal_no_pair_exists(no_pair_file, capsys):
@@ -104,6 +114,22 @@ def test_steptable(sm_file, capsys):
 def test_lookahead(sm_file, w4_file, capsys):
     assert main(["lookahead", "--k", "3", sm_file]) == 0
     assert main(["lookahead", "--k", "3", w4_file]) == 1
+
+
+def test_lookahead_long_unary_window(tmp_path, capsys):
+    p = tmp_path / "unary.nfa"
+    p.write_text(serialize_nfa(mk_nfa(
+        "a", ["0", "1"], ["0"], ["1"], [("0", "a", "0"), ("0", "a", "1")]
+    )))
+    assert main(["lookahead", "--k", "1200", str(p)]) == 0
+    assert capsys.readouterr().out == "LOOKAHEAD(1200)=true\n"
+
+
+def test_lookahead_over_enumeration_limit_exit_2(sm_file, capsys):
+    assert main(["lookahead", "--k", "40", sm_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "enumeration limit" in err
+    assert err.count("\n") == 1
 
 
 def test_member_accept_reject(qds_file, capsys):
@@ -149,7 +175,8 @@ def test_pathdfa_cli(tmp_path, trim_demo_qds, capsys):
     src.write_text(serialize_qds(trim_demo_qds))
     assert main(["pathdfa", str(src)]) == 0
     text = capsys.readouterr().out
-    assert "@type nfa" in text and "#1" in text
+    assert "@type nfa" in text and "+1" in text
+    assert "+1" in parse_nfa(text).alphabet  # the export reads back
     assert main(["pathdfa", "--dot", str(src)]) == 0
     assert capsys.readouterr().out.startswith("digraph")
 
@@ -262,3 +289,34 @@ def test_shift_lint_warning(tmp_path, capsys):
     src.write_text(text)
     assert main(["stats", str(src)]) == 0
     assert "warning:" in capsys.readouterr().err
+
+
+COMMANDS = (
+    ["check", "--k", "2", "--l", "1"],
+    ["exists"],
+    ["minimal"],
+    ["lookahead", "--k", "2"],
+    ["stats"],
+    ["member", "--word", "ab"],
+    ["trim"],
+    ["reduce"],
+    ["dot"],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text() | automaton_texts())
+def test_cli_never_exits_1_on_an_error(text):
+    """Exit 2 always carries one `error:` line; exit 0 and 1 never do, and
+    exit 1 (a negative answer) prints nothing on stderr but lint warnings."""
+    for cmd in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), \
+                redirect_stdout(out), redirect_stderr(err):
+            code = main(cmd + ["-"])
+        errors = [line for line in err.getvalue().splitlines()
+                  if not line.startswith("warning: ")]
+        if code == 2:
+            assert len(errors) == 1 and errors[0].startswith("error: "), (cmd, text)
+        else:
+            assert code in (0, 1) and not errors, (cmd, text)

@@ -1,12 +1,15 @@
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
 from qds import (
     InputError,
     PreconditionError,
     accessible_part,
-    default_kmax,
     exists_kl,
     find_minimal_kl,
+    gen_lk_nfa,
     is_k_lookahead_deterministic,
     is_kl_unambiguous,
     kl_witness,
@@ -15,7 +18,9 @@ from qds import (
     step,
     step_table,
 )
-from qds import StepEntry
+from qds import StepEntry, kernels
+from qds.formats import parse_nfa
+from qds.kernels import _python_witness
 from qds.words import words_of_length
 from tests.conftest import mk_nfa
 
@@ -84,16 +89,18 @@ def test_square_rejects_multiple_initials():
 
 
 def test_exists_on_window4(window4_nfa):
-    assert exists_kl(window4_nfa).exists
+    report = exists_kl(window4_nfa)
+    assert report.exists and report.k_min == 4
 
 
 def test_exists_on_deterministic(three_state_dfa):
-    assert exists_kl(three_state_dfa).exists
+    report = exists_kl(three_state_dfa)
+    assert report.exists and report.k_min == 1
 
 
 def test_exists_counterexample_certificate(ambiguous_loop_nfa):
     report = exists_kl(ambiguous_loop_nfa)
-    assert not report.exists
+    assert not report.exists and report.k_min is None
     cycle = report.certificate
     assert cycle and all(not p.is_diagonal for p in cycle)
     # the certificate replays under the product rule, closing the loop
@@ -172,9 +179,36 @@ def test_lookahead_examples(suffix_marker_nfa, window4_nfa, three_state_dfa):
         assert not is_k_lookahead_deterministic(window4_nfa, k)
 
 
+def lookahead_by_futures(a, k):
+    """k-lookahead determinism off its definition: two out-transitions of a
+    state toward distinct targets have disjoint symbol-prefixed
+    length-(k-1) futures."""
+
+    @lru_cache(maxsize=None)
+    def futures(q, d):
+        if d == 0:
+            return frozenset({()})
+        return frozenset(
+            (sym,) + rest
+            for sym in a.alphabet
+            for nxt in a.successors(q, sym)
+            for rest in futures(nxt, d - 1)
+        )
+
+    for p in a.states:
+        for sym in a.alphabet:
+            targets = sorted(a.successors(p, sym))
+            for i, q1 in enumerate(targets):
+                for q2 in targets[i + 1:]:
+                    if futures(q1, k - 1) & futures(q2, k - 1):
+                        return False
+    return True
+
+
 def test_lookahead_equivalent_to_k1_on_corpus():
     for a in corpus(40):
         for k in range(1, 5):
+            assert is_k_lookahead_deterministic(a, k) == lookahead_by_futures(a, k)
             assert is_k_lookahead_deterministic(a, k) == is_kl_unambiguous(a, k, 1)
 
 
@@ -212,21 +246,67 @@ def test_step_table_shape(suffix_marker_nfa, three_state_dfa):
 
 
 def test_find_minimal_examples(window4_nfa, three_state_dfa, ambiguous_loop_nfa):
-    assert find_minimal_kl(window4_nfa, 6) == (4, 3)
+    assert find_minimal_kl(window4_nfa) == (4, 3)
     assert find_minimal_kl(three_state_dfa) == (1, 1)
     assert find_minimal_kl(ambiguous_loop_nfa) is None
 
 
-def test_find_minimal_cap_too_small(window4_nfa):
-    assert find_minimal_kl(window4_nfa, 3) is None
+def test_find_minimal_scans_once(monkeypatch):
+    calls = []
+    scan = kernels.find_bad_row
 
+    def counting(a, k, l):
+        calls.append((k, l))
+        return scan(a, k, l)
 
-def test_default_kmax(window4_nfa):
-    assert default_kmax(window4_nfa) == 9 * 8 + 1
+    monkeypatch.setattr(kernels, "find_bad_row", counting)
+    assert find_minimal_kl(gen_lk_nfa(8)) == (10, 1)
+    assert calls == [(10, 1)]
 
 
 def test_exists_agrees_with_bounded_search_small_corpus():
     for a in corpus(60, max_states=4, max_syms=2):
+        n = len(a.states)
+        bound = n * (n - 1) + 1  # off-diagonal pairs, plus one
+        clean = any(is_kl_unambiguous(a, k, k) for k in range(1, bound + 1))
+        assert exists_kl(a).exists == clean
+
+
+def k_min_corpus():
+    data = Path(__file__).resolve().parent.parent / "data"
+    for name in ("fork9.nfa", "suffix2.nfa"):
+        yield parse_nfa((data / name).read_text())
+    for k in range(6):
+        yield gen_lk_nfa(k)
+    for seed in range(1200):
+        a = accessible_part(
+            random_nfa(
+                seed,
+                1 + seed % 7,
+                1 + seed % 3,
+                (0.1, 0.15, 0.25, 0.4, 0.6)[seed % 5],
+                0.5,
+            )
+        )
+        if a.states:
+            yield a
+
+
+def test_k_min_is_smallest_clean_window():
+    """k_min from the square graph against the row scan: (k_min, k_min) is
+    clean and (k_min - 1, k_min - 1) has a bad row, which the reference scan
+    finds too."""
+    with_pair = 0
+    for a in k_min_corpus():
         report = exists_kl(a)
-        found = find_minimal_kl(a, default_kmax(a))
-        assert report.exists == (found is not None)
+        if not report.exists:
+            assert report.k_min is None
+            continue
+        with_pair += 1
+        k = report.k_min
+        assert kl_witness(a, k, k) is None
+        if k > 1:
+            bad = kl_witness(a, k - 1, k - 1)
+            assert bad is not None
+            assert _python_witness(a, k - 1, k - 1) == bad
+    assert with_pair >= 600

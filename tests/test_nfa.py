@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qds import (
@@ -183,6 +185,12 @@ def test_nfa_validation_errors():
         mk_nfa("ab", ["0"], ["0"], [], [("0", "c", "0")])
     with pytest.raises(InputError):
         mk_nfa("ab", ["_"], ["_"], [], [])
+    # tokens the text formats would read as a directive or a comment
+    for bad in ("@x", "a#b"):
+        with pytest.raises(InputError, match=re.escape(f"bad state id {bad!r}")):
+            mk_nfa("a", [bad], [bad], [bad], [(bad, "a", bad)])
+        with pytest.raises(InputError, match=re.escape(f"bad symbol token {bad!r}")):
+            mk_nfa(["a", bad], ["0"], ["0"], [], [])
     with pytest.raises(InputError):
         Dfa(("a",), ("0", "1"), frozenset({"0", "1"}), frozenset(), ())
     with pytest.raises(InputError):

@@ -8,6 +8,7 @@ from qds import (
     build_qds,
     dfa_to_qds,
     equiv_fixpoint,
+    exists_kl,
     find_minimal_kl,
     identity_partition,
     minimize_dfa,
@@ -29,11 +30,11 @@ def built_corpus(n_structures, kcap=3):
         seed += 1
         if not a.states:
             continue
-        pair = find_minimal_kl(a, kcap)
-        if pair is None:
+        k_min = exists_kl(a).k_min
+        if k_min is None or k_min > kcap:
             continue
         made += 1
-        yield prune_unreachable(build_qds(a, *pair))
+        yield prune_unreachable(build_qds(a, *find_minimal_kl(a)))
 
 
 # --- the fixpoint -----------------------------------------------------------

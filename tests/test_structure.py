@@ -287,7 +287,7 @@ def test_qds_validation_errors():
         two_layers(gamma={"q": ("p", 3)})
     with pytest.raises(InputError, match="gamma target of 'r' must sit in layer 1"):
         Qds(("a",), (("p",), ("q",), ("r",)), "p", frozenset(), {}, {"r": ("q", 1)})
-    for bad in ("_", "a b", "\t", ""):
+    for bad in ("_", "a b", "\t", "", "@x", "@", "a#b", "#"):
         with pytest.raises(InputError, match=re.escape(f"bad state id {bad!r}")):
             two_layers(layers=(("p", bad), ("q",)))
         with pytest.raises(InputError, match=re.escape(f"bad symbol token {bad!r}")):

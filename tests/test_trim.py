@@ -3,6 +3,7 @@ from qds import (
     build_qds,
     compute_useful,
     dfa_to_qds,
+    exists_kl,
     find_minimal_kl,
     prune_unreachable,
     qds_membership,
@@ -271,10 +272,10 @@ def test_trim_random_built_structures():
         a = accessible_part(random_nfa(seed, 1 + seed % 4, 1 + seed % 2, 0.3, 0.4))
         if not a.states:
             continue
-        pair = find_minimal_kl(a, 3)
-        if pair is None:
+        k_min = exists_kl(a).k_min
+        if k_min is None or k_min > 3:
             continue
-        s = prune_unreachable(build_qds(a, *pair))
+        s = prune_unreachable(build_qds(a, *find_minimal_kl(a)))
         t = trim_qds(s)
         assert trim_qds(t) == t
         for w in words_up_to(a.alphabet, 7):
