@@ -1,149 +1,88 @@
-"""Bitmask kernels for the window-ambiguity search.
+"""The (k,l) decision as one walk on the square graph.
 
-Deciding whether some length-k window leaves more than one live successor
-means scanning all |Q| x |alphabet|^k (state, window) rows: the one hot loop
-in the package. States are packed into machine-word bitmasks; the scan runs
-as the depth-first ``_dfs_witness`` compiled by numba, a vectorized numpy
-scan, or a plain-Python reference.
-
-Backend selection: numba when it imports (it is the optional extra
-``qds[numba]``), numpy otherwise. Automata beyond MAX_TABLE_STATES states take
-the python path, because the mask tables grow as 2^|Q|.
-
-A bad row is a pair (q, w) such that for every split 1 <= i <= l more than
-one state reached from q by w[1..i] can still read w[i+1..k]. All three
-backends return the first bad row they find in (state, lexicographic word)
-scan order, or None; an automaton is (k,l)-unambiguous iff no bad row exists.
+A bad row is a pair (q, w), |w| = k, such that for every split 1 <= i <= l
+more than one state reached from q by w[1..i] can still read w[i+1..k]. An
+automaton is (k,l)-unambiguous iff no bad row exists. (q, w) is bad iff the
+square graph has a walk labelled w from (q,q) whose pairs at positions 1..l
+are off-diagonal (see the `kl` module docstring), so `find_bad_row` never
+enumerates windows: pair (p, r) is bit p*|Q| + r of an int bitmask, a
+backward pass finds the pairs from which the walk can still be finished,
+and a forward pass reads off the first bad row. `_python_witness`
+enumerates the rows straight off the definition; it is the oracle the tests
+hold the walk to.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import InputError
 from .nfa import Nfa
 from .words import Word
 
-MAX_TABLE_STATES = 16
-MAX_ENUMERATION = 1 << 26  # refuse |alphabet|^k scans beyond this
 
-_numba_witness = None
-_numba_failed = False
-
-
-def _dfs_witness(set_succ, pre_live, popcount, n, nsym, k, l):
-    full = np.int64((1 << n) - 1)
-    syms = np.empty(k, dtype=np.int64)
-    fronts = np.empty(k + 1, dtype=np.int64)
-    out = np.empty(k + 1, dtype=np.int64)
-    for q in range(n):
-        fronts[0] = 1 << q
-        pos = 0
-        syms[0] = -1
-        while pos >= 0:
-            syms[pos] += 1
-            if syms[pos] == nsym:
-                pos -= 1
-                continue
-            front = set_succ[syms[pos], fronts[pos]]
-            if front == 0:
-                continue  # dead window: row is good, skip subtree
-            depth = pos + 1
-            if depth <= l and popcount[front] <= 1:
-                continue  # split at depth disambiguates every extension
-            fronts[depth] = front
-            if depth == k:
-                viable = full
-                bad = True
-                for i in range(k, 0, -1):
-                    if i <= l and popcount[fronts[i] & viable] < 2:
-                        bad = False
-                        break
-                    viable = pre_live[syms[i - 1], viable]
-                if bad:
-                    out[0] = q
-                    for i in range(k):
-                        out[i + 1] = syms[i]
-                    return out
-                continue
-            pos += 1
-            syms[pos] = -1
-    out[0] = -1
-    return out
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _load_numba():
-    global _numba_witness, _numba_failed
-    if _numba_witness is not None or _numba_failed:
-        return _numba_witness
-    try:
-        from numba import njit
-    except ImportError:
-        _numba_failed = True
-        return None
-    _numba_witness = njit(cache=True)(_dfs_witness)
-    return _numba_witness
-
-
-def encode_nfa(a: Nfa) -> np.ndarray:
-    """succ[a][q] = bitmask of the a-successors of state q."""
-    state_ix = {q: i for i, q in enumerate(a.states)}
-    sym_ix = {s: i for i, s in enumerate(a.alphabet)}
-    succ = np.zeros((len(a.alphabet), len(a.states)), dtype=np.int64)
+def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
+    """First (state, window) pair violating the (k,l) condition in (state,
+    lexicographic word) order, or None. Time O(k * |Q|^2 * |alphabet|)
+    bitmask operations on |Q|^2-bit ints."""
+    n = len(a.states)
+    ix = {q: i for i, q in enumerate(a.states)}
+    succ = {x: [0] * n for x in a.alphabet}  # succ[x][p]: bitmask of p's x-successors
     for p, x, q in a.transitions:
-        succ[sym_ix[x], state_ix[p]] |= 1 << state_ix[q]
-    return succ
+        succ[x][ix[p]] |= 1 << ix[q]
 
+    def product(left: int, right: int) -> int:
+        """Bitmask of the pairs in left x right: multiplying by a sum of
+        bits p*n places the row `right` at every left state p, no carries."""
+        return right * sum(1 << (p * n) for p in _bits(left))
 
-def _mask_tables(succ: np.ndarray, n: int):
-    """set_succ[a][mask] = image of the state set `mask` under symbol a;
-    pre_live[a][mask] = states with at least one a-successor inside `mask`."""
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    set_succ = np.zeros((succ.shape[0], size), dtype=np.int64)
-    pre_live = np.zeros((succ.shape[0], size), dtype=np.int64)
-    for a in range(succ.shape[0]):
-        for q in range(n):
-            hit = (masks >> q) & 1 == 1
-            set_succ[a, hit] |= succ[a, q]
-            if succ[a, q]:
-                pre_live[a, (masks & succ[a, q]) != 0] |= 1 << q
-    popcount = np.zeros(size, dtype=np.int64)
-    for q in range(n):
-        popcount[(masks >> q) & 1 == 1] += 1
-    return set_succ, pre_live, popcount
+    pairs = range(n * n)
+    step = [  # step[x][pair]: bitmask of the pairs reached from pair on x
+        [product(row[p], row[r]) for p in range(n) for r in range(n)]
+        for row in (succ[x] for x in a.alphabet)
+    ]
+    any_step = [0] * (n * n)  # pairs reached from pair on some symbol
+    for table in step:
+        any_step = [o | t for o, t in zip(any_step, table)]
+    full = (1 << (n * n)) - 1
+    off = full ^ sum(1 << (p * n + p) for p in range(n))
 
+    # feas[i]: pairs at position i that start a walk to position k which is
+    # off-diagonal at every later-or-equal position in 1..l
+    feas = [0] * (k + 1)
+    feas[k] = off if k <= l else full
+    for i in range(k - 1, -1, -1):
+        nxt = feas[i + 1]
+        pre = sum(1 << pair for pair in pairs if any_step[pair] & nxt)
+        feas[i] = pre & off if 1 <= i <= l else pre
+        if not feas[i]:
+            return None
 
-def _numpy_witness(set_succ, pre_live, popcount, n, nsym, k, l):
-    """Level-synchronous scan: forward fronts of every prefix, backward
-    viability of every suffix, one boolean array of surviving bad rows."""
-    full = (1 << n) - 1
-    viable = [np.array([full], dtype=np.int64)]
-    for _ in range(k):
-        viable.append(pre_live[:, viable[-1]].reshape(-1))
-    viable.reverse()  # viable[i] indexed by the suffix w[i+1..k]
-    for q in range(n):
-        fronts = np.array([1 << q], dtype=np.int64)
-        bad = np.ones(nsym**k, dtype=bool)
-        for i in range(1, l + 1):  # splits beyond l never constrain a row
-            fronts = np.ascontiguousarray(set_succ[:, fronts].T).reshape(-1)
-            cnt = popcount[fronts[:, None] & viable[i][None, :]]
-            bad &= (cnt >= 2).reshape(-1)
-            if not bad.any():
-                break
-        if bad.any():
-            w = int(np.argmax(bad))
-            syms = []
-            for _ in range(k):
-                syms.append(w % nsym)
-                w //= nsym
-            return (q, tuple(reversed(syms)))
+    for q in a.states:
+        front = 1 << (ix[q] * n + ix[q])
+        if not front & feas[0]:
+            continue
+        word = []
+        for i in range(1, k + 1):
+            for x, table in zip(a.alphabet, step):
+                image = 0
+                for pair in _bits(front):
+                    image |= table[pair]
+                if image & feas[i]:
+                    break
+            word.append(x)
+            front = image & feas[i]
+        return q, tuple(word)
     return None
 
 
 def _python_witness(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
-    """Reference implementation straight off the definition; used for big
-    state sets and for cross-checking the packed kernels."""
+    """Reference implementation straight off the definition: every row in
+    (state, lexicographic word) order, the oracle for `find_bad_row`."""
     from .nfa import delta_word
     from .words import words_of_length
 
@@ -165,28 +104,5 @@ def _python_witness(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
 
 
 def backend_name() -> str:
-    """The packed backend in use for automata up to MAX_TABLE_STATES states."""
-    return "numpy" if _load_numba() is None else "numba"
-
-
-def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
-    """First (state, window) pair violating the (k,l) condition, or None."""
-    if len(a.alphabet) ** k > MAX_ENUMERATION:
-        raise InputError(
-            f"window scan |alphabet|^k = {len(a.alphabet)}^{k} is over the "
-            f"enumeration limit {MAX_ENUMERATION}"
-        )
-    if len(a.states) > MAX_TABLE_STATES:
-        return _python_witness(a, k, l)
-    n, nsym = len(a.states), len(a.alphabet)
-    set_succ, pre_live, popcount = _mask_tables(encode_nfa(a), n)
-    numba_witness = _load_numba()
-    if numba_witness is None:
-        hit = _numpy_witness(set_succ, pre_live, popcount, n, nsym, k, l)
-    else:
-        out = numba_witness(set_succ, pre_live, popcount, n, nsym, k, l)
-        hit = None if out[0] < 0 else (int(out[0]), out[1:])
-    if hit is None:
-        return None
-    q_ix, sym_ixs = hit
-    return a.states[q_ix], tuple(a.alphabet[int(s)] for s in sym_ixs)
+    """Name of the decision procedure, kept for benchmark reports."""
+    return "square"

@@ -1,18 +1,24 @@
 """Window-lookahead analysis of NFAs.
 
-Two independent routes answer "can a bounded window ever disambiguate this
-automaton?": a graph criterion on the square automaton (every cycle of the
-accessible pair graph must visit a diagonal state), and direct enumeration of
-all (state, window) rows against the defining cardinality condition. The
-enumeration is the ground truth the rest of the package trusts; the square
-criterion is the polynomial decision procedure. Keeping both honest against
-each other is a core part of the test suite.
+Everything here reads the square automaton, the product of an automaton
+with itself. "Can a bounded window ever disambiguate this automaton?" holds
+iff every cycle of the accessible pair graph visits a diagonal state. A
+single (k,l) is decided by a walk: state q has a bad (k,l) row (q, w) iff
+the square graph has a walk labelled w from (q,q) whose pairs at positions
+1..l are off-diagonal. Such a walk gives two runs on w that differ at every
+split up to l; conversely a bad row has two live states at each of those
+splits, and Menger's theorem turns that trellis of live states into two
+vertex-disjoint runs. `kernels.find_bad_row` runs that walk;
+`kernels._python_witness`, which enumerates every (state, window) row
+against the defining cardinality condition, is the oracle the tests hold it
+to.
 
-The square graph also gives the minimal window: a (k,k) bad row exists iff
-the diagonal-free square graph has a path of k nodes. Such a path gives two
-runs from some (q,q) that differ at every position; conversely a bad row has
-two live states at every position, and Menger's theorem turns that trellis
-into two vertex-disjoint runs. Hence k_min = 1 + the longest such path.
+The same argument at l = k gives the minimal window: a (k,k) bad row exists
+iff the diagonal-free square graph has a path of k nodes, hence k_min = 1 +
+the longest such path.
+
+Constructions whose size grows with k are checked against SIZE_BUDGET
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from . import kernels
 from .errors import InputError, PreconditionError
 from .nfa import Nfa, accessible_states, delta_word
 from .words import Word, as_word, words_of_length
+
+SIZE_BUDGET = 1 << 24  # cells a walk or a step table may allocate
 
 
 @dataclass(frozen=True)
@@ -162,14 +170,21 @@ def exists_kl(a: Nfa) -> KlReport:
 
 
 def kl_witness(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
-    """A (state, window) row violating the (k,l) condition, or None.
+    """The first (state, window) row violating the (k,l) condition in
+    (state, lexicographic word) order, or None.
 
-    This is the direct enumeration over all |Q| x |alphabet|^k rows; other
-    modules treat its verdict as ground truth.
+    Decided by the square-graph walk of `kernels.find_bad_row` in
+    O(k x |Q|^2 x |alphabet|) steps, refused above SIZE_BUDGET.
     """
     if not (1 <= l <= k):
         raise PreconditionError(f"need 1 <= l <= k, got k={k}, l={l}")
     _require_single_initial(a)
+    n, s = len(a.states), len(a.alphabet)
+    if k * n * n * s > SIZE_BUDGET:
+        raise InputError(
+            f"square-graph walk k*|Q|^2*|alphabet| = {k}*{n}^2*{s} is over "
+            f"the size budget {SIZE_BUDGET}"
+        )
     return kernels.find_bad_row(a, k, l)
 
 
@@ -218,6 +233,13 @@ def step(a: Nfa, k: int, l: int, q: str, w) -> StepEntry:
 def step_table(a: Nfa, k: int, l: int) -> StepTable:
     """Tabulate `step` over every (state, window) row."""
     _require_single_initial(a)
+    n, s = len(a.states), len(a.alphabet)
+    # s ** k is capped at k = 25: from there on it is over the budget anyway
+    if n * s ** min(k, SIZE_BUDGET.bit_length()) > SIZE_BUDGET:
+        raise InputError(
+            f"step table |Q|*|alphabet|^k = {n}*{s}^{k} rows is over the "
+            f"size budget {SIZE_BUDGET}"
+        )
     entries = {
         (q, w): step(a, k, l, q, w)
         for q in a.states
@@ -232,7 +254,7 @@ def find_minimal_kl(a: Nfa) -> tuple[int, int] | None:
 
     k is `exists_kl(a).k_min`: no smaller k works even at l = k, and
     (k_min, k_min) does by the square-graph theorem, so only l = 1..k_min is
-    scanned at that single k.
+    checked at that single k.
     """
     k = exists_kl(a).k_min
     if k is None:

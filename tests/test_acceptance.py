@@ -24,6 +24,7 @@ from qds import (
     gen_sk_qds,
     is_k_lookahead_deterministic,
     is_kl_unambiguous,
+    kl_witness,
     minimize_dfa,
     nfa_membership,
     prune_unreachable,
@@ -37,6 +38,7 @@ from qds import (
 from qds.family import lk_predicate
 from qds.reduction import _refine
 from qds.words import words_up_to
+from tests.enumeration import scan_witness
 
 
 def report(n: int, text: str) -> None:
@@ -212,9 +214,20 @@ def test_acceptance_6_reduction(rigid_pair_qds, slack_pair_qds):
     report(6, "identity vs {1}/{2,4}/{3,5} reduction; 200 built structures reduce soundly")
 
 
+def oracle_row(a, k: int, l: int):
+    """The enumeration oracle's first bad (k,l) row; the square-graph walk
+    must return the same row."""
+    row = scan_witness(a, k, l)
+    assert kl_witness(a, k, l) == row, (k, l)
+    return row
+
+
 def test_acceptance_7_oracle_equivalence():
     """The square-automaton criterion, the row enumeration, the compiler and
-    the lookahead check all tell one consistent story on 500 random NFAs."""
+    the lookahead check all tell one consistent story on 500 random NFAs.
+    The bounded (k,k)/(k,l) search and the lookahead comparison take their
+    verdicts from the enumeration oracle, never from the square-graph walk
+    they check; the walk must return the oracle's row at every cell searched."""
     agreements = 0
     for seed in range(500):
         a = corpus_nfa(seed)
@@ -225,18 +238,19 @@ def test_acceptance_7_oracle_equivalence():
         verdict = exists_kl(a)
         found = None
         for k in range(1, bound + 1):
-            if is_kl_unambiguous(a, k, k):
+            if oracle_row(a, k, k) is None:
                 for l in range(1, k + 1):
-                    if is_kl_unambiguous(a, k, l):
+                    if oracle_row(a, k, l) is None:
                         found = (k, l)
                         break
                 break
         assert verdict.exists == (found is not None), seed
         if found is not None:
             assert found[0] == verdict.k_min, seed
+        assert find_minimal_kl(a) == found, seed
         agreements += 1
         for k in range(1, 5):
-            assert is_k_lookahead_deterministic(a, k) == is_kl_unambiguous(a, k, 1)
+            assert is_k_lookahead_deterministic(a, k) == (scan_witness(a, k, 1) is None)
         if found is not None:
             s = prune_unreachable(build_qds(a, *found))
             for w in words_up_to(a.alphabet, found[0] + 4):

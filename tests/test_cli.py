@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qds.cli import main
 from qds.formats import parse_nfa, parse_qds, serialize_nfa, serialize_qds
+from qds.kernels import _python_witness
 from tests.conftest import mk_nfa
 from tests.test_formats import automaton_texts
 
@@ -125,10 +126,28 @@ def test_lookahead_long_unary_window(tmp_path, capsys):
     assert capsys.readouterr().out == "LOOKAHEAD(1200)=true\n"
 
 
-def test_lookahead_over_enumeration_limit_exit_2(sm_file, capsys):
-    assert main(["lookahead", "--k", "40", sm_file]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "enumeration limit" in err
+def test_lookahead_above_old_enumeration_cap(sm_file, suffix_marker_nfa, capsys):
+    """`lookahead --k 40` answers; the row scan used to refuse its 2^40
+    windows. The expected line comes from the enumeration oracle at k = 3:
+    bad rows are monotone in k (a bad (k+1,1) row cut to its first k symbols
+    is a bad (k,1) row), so clean at (3,1) means clean at (40,1)."""
+    assert _python_witness(suffix_marker_nfa, 3, 1) is None
+    assert main(["lookahead", "--k", "40", sm_file]) == 0
+    assert capsys.readouterr() == ("LOOKAHEAD(40)=true\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--k", "1000000000", "--l", "1"],  # walk of 1.8e10 cells
+        ["build-qds", "--k", "24", "--l", "1"],  # 3 * 2^24 step-table rows
+    ],
+)
+def test_over_size_budget_exit_2(sm_file, capsys, argv):
+    """Refused before anything is allocated, with one error line."""
+    assert main(argv + [sm_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "size budget" in err
     assert err.count("\n") == 1
 
 

@@ -1,60 +1,88 @@
-import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qds import InputError, accessible_part, kernels, random_nfa
-from qds.kernels import MAX_TABLE_STATES, backend_name, find_bad_row
+from qds import (
+    InputError,
+    PreconditionError,
+    accessible_part,
+    kernels,
+    kl,
+    kl_witness,
+    random_nfa,
+    step_table,
+)
+from qds.kernels import backend_name, find_bad_row
+from tests.conftest import mk_nfa
 
 
-def reference_cases():
-    """(automaton, k, l) cases and the python reference's answer to each."""
-    cases = []
-    for seed in range(30):
+def reference_corpus():
+    """Random accessible NFAs with 1..6 states over one to three symbols."""
+    for seed in range(150):
         a = accessible_part(
-            random_nfa(seed, 1 + seed % 5, 1 + seed % 2, 0.1 + (seed % 6) * 0.13, 0.4)
+            random_nfa(seed, 1 + seed % 6, 1 + seed % 3, 0.1 + (seed % 5) * 0.15, 0.4)
         )
-        if not a.states:
-            continue
-        for k, l in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3)):
-            cases.append((a, k, l))
-    return cases, [kernels._python_witness(a, k, l) for a, k, l in cases]
+        if a.states:
+            yield a
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_backends_agree_with_reference(monkeypatch, backend):
-    """Both packed backends return the same verdict and the same first
-    witness in (state, lex-word) scan order as the python reference. The
-    numba case runs the kernel body uncompiled, as NUMBA_DISABLE_JIT=1 would,
-    so it checks the kernel and its output decoding wherever numba is absent;
-    the compiled kernel is checked by test_compiled_numba_agrees_with_reference."""
-    cases, expected = reference_cases()
-    kernel = kernels._dfs_witness if backend == "numba" else None
-    monkeypatch.setattr(kernels, "_load_numba", lambda: kernel)
-    assert backend_name() == backend
-    assert [find_bad_row(a, k, l) for a, k, l in cases] == expected
+def test_walk_matches_reference_row_for_row():
+    """The square-graph walk returns exactly the python reference's first
+    bad row in (state, lex-word) order, witness included, at every l <= k:
+    k <= 6 over at most two symbols, k <= 4 over three."""
+    cases = bad = 0
+    for a in reference_corpus():
+        for k in range(1, (6 if len(a.alphabet) <= 2 else 4) + 1):
+            for l in range(1, k + 1):
+                expected = kernels._python_witness(a, k, l)
+                assert find_bad_row(a, k, l) == expected, (a, k, l)
+                cases += 1
+                bad += expected is not None
+    assert bad >= 1000 and cases - bad >= 1000
 
 
-def test_compiled_numba_agrees_with_reference():
-    pytest.importorskip("numba")
-    cases, expected = reference_cases()
-    assert backend_name() == "numba"
-    assert [find_bad_row(a, k, l) for a, k, l in cases] == expected
+def test_large_state_sets():
+    # more than 16 states, where the old packed tables stopped
+    a = accessible_part(random_nfa(3, 18, 2, 0.2, 0.3))
+    assert len(a.states) > 16
+    for k, l in ((1, 1), (2, 1), (2, 2)):
+        assert find_bad_row(a, k, l) == kernels._python_witness(a, k, l)
 
 
-def test_auto_prefers_numba():
-    has_numba = importlib.util.find_spec("numba") is not None
-    assert backend_name() == ("numba" if has_numba else "numpy")
+def test_backend_name():
+    assert backend_name() == "square"
 
 
 def test_enumeration_guard():
+    """One size budget guards the walk (k*|Q|^2*|alphabet| cells) and the
+    enumeration of step-table rows (|Q|*|alphabet|^k); both refuse with
+    InputError before allocating, so even k = 10^9 answers at once."""
     a = random_nfa(0, 2, 3, 0.5, 0.5)
-    with pytest.raises(InputError):
-        find_bad_row(a, 40, 1)
+    cells = len(a.states) ** 2 * len(a.alphabet)
+    k = kl.SIZE_BUDGET // cells + 1
+    with pytest.raises(InputError, match="over the size budget 16777216"):
+        kl_witness(a, k, 1)
+    with pytest.raises(InputError, match=r"k\*\|Q\|\^2\*\|alphabet\| = 1000000000\*2\^2\*3"):
+        kl_witness(a, 10**9, 1)
+    q, w = kl_witness(a, 40, 1)  # the old scan refused its 3^40 rows
+    with pytest.raises(PreconditionError, match="disambiguates"):
+        kl.step(a, 40, 1, q, w)
+    with pytest.raises(InputError, match=r"\|Q\|\*\|alphabet\|\^k = 2\*3\^15 rows"):
+        step_table(a, 15, 1)
+    with pytest.raises(InputError, match="size budget"):
+        step_table(a, 10**9, 1)
+    unary = mk_nfa("a", ["0", "1"], ["0"], ["1"], [("0", "a", "0"), ("0", "a", "1")])
+    assert len(step_table(unary, 1000, 1).entries) == 2
 
 
-def test_large_state_sets_fall_back_to_python():
-    # packed tables stop at MAX_TABLE_STATES; beyond that the reference path
-    # answers and verdicts must not change
-    a = accessible_part(random_nfa(3, MAX_TABLE_STATES + 2, 2, 0.2, 0.3))
-    assert len(a.states) > MAX_TABLE_STATES
-    assert find_bad_row(a, 2, 1) == kernels._python_witness(a, 2, 1)
+def test_import_leaves_numpy_out():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qds, qds.cli; print(sorted({'numpy', 'numba'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -23,6 +23,7 @@ from qds.formats import parse_nfa
 from qds.kernels import _python_witness
 from qds.words import words_of_length
 from tests.conftest import mk_nfa
+from tests.enumeration import scan_witness
 
 
 @pytest.fixture
@@ -268,7 +269,7 @@ def test_exists_agrees_with_bounded_search_small_corpus():
     for a in corpus(60, max_states=4, max_syms=2):
         n = len(a.states)
         bound = n * (n - 1) + 1  # off-diagonal pairs, plus one
-        clean = any(is_kl_unambiguous(a, k, k) for k in range(1, bound + 1))
+        clean = any(scan_witness(a, k, k) is None for k in range(1, bound + 1))
         assert exists_kl(a).exists == clean
 
 
@@ -293,9 +294,9 @@ def k_min_corpus():
 
 
 def test_k_min_is_smallest_clean_window():
-    """k_min from the square graph against the row scan: (k_min, k_min) is
-    clean and (k_min - 1, k_min - 1) has a bad row, which the reference scan
-    finds too."""
+    """k_min from the square graph against the row enumeration: the oracle
+    finds (k_min, k_min) clean, and the walk's bad row at (k_min - 1,
+    k_min - 1) is the one the python reference finds."""
     with_pair = 0
     for a in k_min_corpus():
         report = exists_kl(a)
@@ -304,6 +305,7 @@ def test_k_min_is_smallest_clean_window():
             continue
         with_pair += 1
         k = report.k_min
+        assert scan_witness(a, k, k) is None
         assert kl_witness(a, k, k) is None
         if k > 1:
             bad = kl_witness(a, k - 1, k - 1)
