@@ -5,7 +5,7 @@ more than one state reached from q by w[1..i] can still read w[i+1..k]. An
 automaton is (k,l)-unambiguous iff no bad row exists. (q, w) is bad iff the
 square graph has a walk labelled w from (q,q) whose pairs at positions 1..l
 are off-diagonal (see the `kl` module docstring), so `find_bad_row` never
-enumerates windows: pair (p, r) is bit p*|Q| + r of an int bitmask, a
+enumerates windows: a set of pairs (p, r) is a list of |Q| int row masks, a
 backward pass finds the pairs from which the walk can still be finished,
 and a forward pass reads off the first bad row. `_python_witness`
 enumerates the rows straight off the definition; it is the oracle the tests
@@ -25,57 +25,86 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _settle(first: list[int], nxt, count: int) -> list[list[int]]:
+    """first, nxt(first), ... up to `count` pair sets, cut once two
+    neighbours agree: from there on the chain stays put."""
+    chain = [first]
+    while len(chain) < count and (len(chain) < 2 or chain[-1] != chain[-2]):
+        chain.append(nxt(chain[-1]))
+    return chain
+
+
 def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
     """First (state, window) pair violating the (k,l) condition in (state,
-    lexicographic word) order, or None. Time O(k * |Q|^2 * |alphabet|)
-    bitmask operations on |Q|^2-bit ints."""
+    lexicographic word) order, or None. O(k * |Q|^2 * |alphabet|) steps on
+    |Q|-bit ints; the pair sets kept are O(min(k, |Q|^2) * |Q|^2) bits."""
     n = len(a.states)
     ix = {q: i for i, q in enumerate(a.states)}
-    succ = {x: [0] * n for x in a.alphabet}  # succ[x][p]: bitmask of p's x-successors
+    sym = {x: j for j, x in enumerate(a.alphabet)}
+    succ = [[0] * n for _ in a.alphabet]  # succ[x][p]: bitmask of p's x-successors
+    pred = [[0] * n for _ in a.alphabet]  # pred[x][r]: bitmask of r's x-predecessors
     for p, x, q in a.transitions:
-        succ[x][ix[p]] |= 1 << ix[q]
+        succ[sym[x]][ix[p]] |= 1 << ix[q]
+        pred[sym[x]][ix[q]] |= 1 << ix[p]
 
-    def product(left: int, right: int) -> int:
-        """Bitmask of the pairs in left x right: multiplying by a sum of
-        bits p*n places the row `right` at every left state p, no carries."""
-        return right * sum(1 << (p * n) for p in _bits(left))
+    def post(mask: int, table: list[int]) -> int:
+        out = 0
+        for p in _bits(mask):
+            out |= table[p]
+        return out
 
-    pairs = range(n * n)
-    step = [  # step[x][pair]: bitmask of the pairs reached from pair on x
-        [product(row[p], row[r]) for p in range(n) for r in range(n)]
-        for row in (succ[x] for x in a.alphabet)
-    ]
-    any_step = [0] * (n * n)  # pairs reached from pair on some symbol
-    for table in step:
-        any_step = [o | t for o, t in zip(any_step, table)]
-    full = (1 << (n * n)) - 1
-    off = full ^ sum(1 << (p * n + p) for p in range(n))
+    # a pair set is a list of n row masks: bit r of rows[p] holds pair (p, r)
+    def pre(rows: list[int]) -> list[int]:
+        """Pairs with a successor pair in `rows` on some symbol."""
+        out = [0] * n
+        for fwd, back in zip(succ, pred):
+            for p in range(n):
+                reach = post(fwd[p], rows)  # seconds r' paired with a successor of p
+                if reach:
+                    out[p] |= post(reach, back)
+        return out
 
-    # feas[i]: pairs at position i that start a walk to position k which is
-    # off-diagonal at every later-or-equal position in 1..l
-    feas = [0] * (k + 1)
-    feas[k] = off if k <= l else full
-    for i in range(k - 1, -1, -1):
-        nxt = feas[i + 1]
-        pre = sum(1 << pair for pair in pairs if any_step[pair] & nxt)
-        feas[i] = pre & off if 1 <= i <= l else pre
-        if not feas[i]:
-            return None
+    def image(rows: list[int], fwd: list[int]) -> list[int]:
+        out = [0] * n
+        for p, row in enumerate(rows):
+            reach = post(row, fwd) if row else 0
+            if reach:
+                for t in _bits(fwd[p]):
+                    out[t] |= reach
+        return out
+
+    def off(rows: list[int]) -> list[int]:
+        return [row & ~(1 << p) for p, row in enumerate(rows)]
+
+    # feas(i): pairs at position i that start a walk to position k which is
+    # off-diagonal at every later-or-equal position in 1..l. Going back from
+    # k, each of the stretches l+1..k and 1..l only shrinks, so it is kept
+    # until it settles: tail[j] is position k - j, head[j] is position l - j.
+    full = [(1 << n) - 1] * n
+    tail = _settle(full, pre, k - l) if k > l else []
+    head = _settle(off(pre(tail[-1])) if tail else off(full), lambda rows: off(pre(rows)), l)
+    start = pre(head[-1])
+
+    def feas(i: int) -> list[int]:
+        if i > l:
+            return tail[min(k - i, len(tail) - 1)]
+        return head[min(l - i, len(head) - 1)]
 
     for q in a.states:
-        front = 1 << (ix[q] * n + ix[q])
-        if not front & feas[0]:
+        i0 = ix[q]
+        if not start[i0] >> i0 & 1:
             continue
+        front = [0] * n
+        front[i0] = 1 << i0
         word = []
         for i in range(1, k + 1):
-            for x, table in zip(a.alphabet, step):
-                image = 0
-                for pair in _bits(front):
-                    image |= table[pair]
-                if image & feas[i]:
+            live = feas(i)
+            for x, fwd in zip(a.alphabet, succ):
+                front_x = [s & t for s, t in zip(image(front, fwd), live)]
+                if any(front_x):
                     break
             word.append(x)
-            front = image & feas[i]
+            front = front_x
         return q, tuple(word)
     return None
 

@@ -30,7 +30,7 @@ from .errors import InputError, PreconditionError
 from .nfa import Nfa, accessible_states, delta_word
 from .words import Word, as_word, words_of_length
 
-SIZE_BUDGET = 1 << 24  # cells a walk or a step table may allocate
+SIZE_BUDGET = 1 << 24  # walk steps or step-table cells one call may take
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def kl_witness(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
     if not (1 <= l <= k):
         raise PreconditionError(f"need 1 <= l <= k, got k={k}, l={l}")
     _require_single_initial(a)
-    n, s = len(a.states), len(a.alphabet)
+    n, s = len(a.states), max(len(a.alphabet), 1)
     if k * n * n * s > SIZE_BUDGET:
         raise InputError(
             f"square-graph walk k*|Q|^2*|alphabet| = {k}*{n}^2*{s} is over "
@@ -233,12 +233,13 @@ def step(a: Nfa, k: int, l: int, q: str, w) -> StepEntry:
 def step_table(a: Nfa, k: int, l: int) -> StepTable:
     """Tabulate `step` over every (state, window) row."""
     _require_single_initial(a)
-    n, s = len(a.states), len(a.alphabet)
-    # s ** k is capped at k = 25: from there on it is over the budget anyway
-    if n * s ** min(k, SIZE_BUDGET.bit_length()) > SIZE_BUDGET:
+    n, s = len(a.states), max(len(a.alphabet), 1)
+    # each row holds a k-symbol window; s ** k is capped at k = 25: from
+    # there on it is over the budget anyway
+    if n * s ** min(k, SIZE_BUDGET.bit_length()) * k > SIZE_BUDGET:
         raise InputError(
-            f"step table |Q|*|alphabet|^k = {n}*{s}^{k} rows is over the "
-            f"size budget {SIZE_BUDGET}"
+            f"step table |Q|*|alphabet|^k*k = {n}*{s}^{k}*{k} cells is over "
+            f"the size budget {SIZE_BUDGET}"
         )
     entries = {
         (q, w): step(a, k, l, q, w)

@@ -136,16 +136,29 @@ def test_lookahead_above_old_enumeration_cap(sm_file, suffix_marker_nfa, capsys)
     assert capsys.readouterr() == ("LOOKAHEAD(40)=true\n", "")
 
 
+NO_SYMBOLS = "@type nfa\n@alphabet\n@states 0\n@initial 0\n@final 0\n"
+UNARY = "@type nfa\n@alphabet a\n@states 0 1\n@initial 0\n@final 1\n0 a 0\n0 a 1\n"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "text, argv",
     [
-        ["check", "--k", "1000000000", "--l", "1"],  # walk of 1.8e10 cells
-        ["build-qds", "--k", "24", "--l", "1"],  # 3 * 2^24 step-table rows
+        (None, ["check", "--k", "1000000000", "--l", "1"]),  # walk of 1.8e10 steps
+        (None, ["build-qds", "--k", "24", "--l", "1"]),  # 3 * 2^24 rows of 24 symbols
+        (NO_SYMBOLS, ["check", "--k", "1000000000", "--l", "1"]),
+        (NO_SYMBOLS, ["build-qds", "--k", "1000000000", "--l", "1"]),
+        (UNARY, ["build-qds", "--k", "1000000000", "--l", "1"]),  # 2 rows of 10^9 symbols
     ],
 )
-def test_over_size_budget_exit_2(sm_file, capsys, argv):
-    """Refused before anything is allocated, with one error line."""
-    assert main(argv + [sm_file]) == 2
+def test_over_size_budget_exit_2(sm_file, tmp_path, capsys, text, argv):
+    """Refused before anything is allocated, with one error line; an empty
+    alphabet counts as one symbol, and a step table counts every symbol of
+    its rows."""
+    path = sm_file
+    if text is not None:
+        path = tmp_path / "small.nfa"
+        path.write_text(text)
+    assert main(argv + [str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and "size budget" in err
     assert err.count("\n") == 1

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,12 @@ from tests.conftest import mk_nfa
 
 
 def reference_corpus():
-    """Random accessible NFAs with 1..6 states over one to three symbols."""
+    """Random accessible NFAs with 1..6 states over one to three symbols,
+    and a fork that rejoins and runs dead, where a walk can last 1, 2 or 3
+    steps depending on the pair it starts from."""
+    yield mk_nfa("ab", "01234", ["0"], ["4"],
+                 [("0", "a", "1"), ("0", "a", "2"), ("1", "a", "3"), ("2", "a", "3"),
+                  ("3", "a", "4"), ("2", "b", "4"), ("1", "b", "1")])
     for seed in range(150):
         a = accessible_part(
             random_nfa(seed, 1 + seed % 6, 1 + seed % 3, 0.1 + (seed % 5) * 0.15, 0.4)
@@ -52,14 +58,32 @@ def test_large_state_sets():
         assert find_bad_row(a, k, l) == kernels._python_witness(a, k, l)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_many_states_small_memory(seed):
+    """At 150 states the walk keeps a few |Q|-bit row masks per position:
+    tables over all |Q|^2 pairs would take |Q|^4*|alphabet| bits, about
+    127 MB here."""
+    a = random_nfa(seed, 150, 2, 0.003, 0.3)
+    for k, l in ((2, 1), (2, 2), (3, 2)):
+        tracemalloc.start()
+        try:
+            got = find_bad_row(a, k, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == kernels._python_witness(a, k, l)
+        assert peak < 2_000_000, peak
+
+
 def test_backend_name():
     assert backend_name() == "square"
 
 
 def test_enumeration_guard():
-    """One size budget guards the walk (k*|Q|^2*|alphabet| cells) and the
-    enumeration of step-table rows (|Q|*|alphabet|^k); both refuse with
-    InputError before allocating, so even k = 10^9 answers at once."""
+    """One size budget guards the walk (k*|Q|^2*|alphabet| steps) and the
+    step table (|Q|*|alphabet|^k rows of k symbols); both refuse with
+    InputError before allocating, so even k = 10^9 answers at once. An
+    empty alphabet counts as one symbol: k-symbol rows are still built."""
     a = random_nfa(0, 2, 3, 0.5, 0.5)
     cells = len(a.states) ** 2 * len(a.alphabet)
     k = kl.SIZE_BUDGET // cells + 1
@@ -70,12 +94,20 @@ def test_enumeration_guard():
     q, w = kl_witness(a, 40, 1)  # the old scan refused its 3^40 rows
     with pytest.raises(PreconditionError, match="disambiguates"):
         kl.step(a, 40, 1, q, w)
-    with pytest.raises(InputError, match=r"\|Q\|\*\|alphabet\|\^k = 2\*3\^15 rows"):
-        step_table(a, 15, 1)
+    with pytest.raises(InputError, match=r"\|Q\|\*\|alphabet\|\^k\*k = 2\*3\^14\*14 cells"):
+        step_table(a, 14, 1)
     with pytest.raises(InputError, match="size budget"):
         step_table(a, 10**9, 1)
     unary = mk_nfa("a", ["0", "1"], ["0"], ["1"], [("0", "a", "0"), ("0", "a", "1")])
     assert len(step_table(unary, 1000, 1).entries) == 2
+    with pytest.raises(InputError, match="size budget"):
+        step_table(unary, 10**9, 1)
+    empty = mk_nfa("", ["0"], ["0"], ["0"], [])
+    assert kl_witness(empty, 1000, 1) is None
+    with pytest.raises(InputError, match=r"= 1000000000\*1\^2\*1 is over"):
+        kl_witness(empty, 10**9, 1)
+    with pytest.raises(InputError, match="size budget"):
+        step_table(empty, 10**9, 1)
 
 
 def test_import_leaves_numpy_out():
