@@ -110,8 +110,6 @@ def _cmd_lookahead(args) -> int:
 def _cmd_build_qds(args) -> int:
     a = _load_nfa(args.file)
     s = build.build_qds(a, args.k, args.l)
-    if args.prune:
-        s = build.prune_unreachable(s)
     _write_text(args.out, formats.serialize_qds(s))
     return 0
 
@@ -291,11 +289,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("file")
 
-    p = add("build-qds", _cmd_build_qds, help="compile a (k,l)-unambiguous NFA")
+    p = add("build-qds", _cmd_build_qds, help="compile a (k,l)-unambiguous NFA (reachable part)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--prune", action="store_true",
-                   help="drop unreachable states after building")
     p.add_argument("--out", default=None)
     p.add_argument("file")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import SIZE_BUDGET, InputError
 from .nfa import Nfa, determinize, minimize_dfa
 from .reduction import equiv_fixpoint, quotient
 from .structure import GammaEntry, Qds, qds_membership
@@ -116,7 +116,19 @@ class FamilyInstance:
     dfa_states: int
 
 
+def _check_dfa_budget(k: int) -> None:
+    """Refuse up front an L_k whose subset construction, 2^(k+1) subsets of
+    k+2 states, `determinize` would refuse only after building most of it."""
+    # 2 ** (k+1) is capped at k = 24: from there on it is over the budget anyway
+    if 2 ** min(k + 1, SIZE_BUDGET.bit_length()) * (k + 2) > SIZE_BUDGET:
+        raise InputError(
+            f"the L_{k} subset construction 2^{k + 1}*{k + 2} cells is over "
+            f"the size budget {SIZE_BUDGET}"
+        )
+
+
 def family_instance(k: int) -> FamilyInstance:
+    _check_dfa_budget(k)
     nfa = gen_lk_nfa(k)
     dfa = minimize_dfa(determinize(nfa))
     return FamilyInstance(k=k, nfa=nfa, sk=gen_sk_qds(k), dfa_states=len(dfa.states))
@@ -156,9 +168,11 @@ class GapReport:
 def gap_report(k_max: int, seed: int = 0, words_per_row: int = 1000) -> GapReport:
     """Measured sizes (never formula-derived) for every k up to k_max, plus
     the read cost of running random words through S_k. DFA construction is
-    exponential in k; k_max beyond ~16 is impractical."""
+    exponential in k: k_max beyond ~16 is slow, and beyond 18 it is refused
+    before any row is built."""
     if k_max < 0:
         raise InputError("k_max must be non-negative")
+    _check_dfa_budget(k_max)
     rows = []
     for k in range(k_max + 1):
         inst = family_instance(k)

@@ -1,4 +1,6 @@
-"""The (k,l) decision as one walk on the square graph.
+"""State sets as int bitmasks: the (k,l) decision as one walk on the square
+graph, and the forward and backward set tables the step table and the
+build read.
 
 A bad row is a pair (q, w), |w| = k, such that for every split 1 <= i <= l
 more than one state reached from q by w[1..i] can still read w[i+1..k]. An
@@ -10,6 +12,10 @@ backward pass finds the pairs from which the walk can still be finished,
 and a forward pass reads off the first bad row. `_python_witness`
 enumerates the rows straight off the definition; it is the oracle the tests
 hold the walk to.
+
+`masks` numbers the states and symbols once for every caller; `fronts` and
+`can_read` tabulate, per word in lexicographic rank, the states a word
+leads to and the states that can read it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from .nfa import Nfa
 from .words import Word
 
 
-def _bits(mask: int):
+def bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -34,24 +41,54 @@ def _settle(first: list[int], nxt, count: int) -> list[list[int]]:
     return chain
 
 
+def post(mask: int, table: list[int]) -> int:
+    """Union of table[p] over the states p in `mask`."""
+    out = 0
+    for p in bits(mask):
+        out |= table[p]
+    return out
+
+
+def masks(a: Nfa) -> tuple[list[list[int]], list[list[int]]]:
+    """(succ, pred) with states and symbols numbered in declared order:
+    succ[x][p] is the bitmask of p's x-successors, pred[x][r] that of r's
+    x-predecessors."""
+    n = len(a.states)
+    ix = {q: i for i, q in enumerate(a.states)}
+    sym = {x: j for j, x in enumerate(a.alphabet)}
+    succ = [[0] * n for _ in a.alphabet]
+    pred = [[0] * n for _ in a.alphabet]
+    for p, x, q in a.transitions:
+        succ[sym[x]][ix[p]] |= 1 << ix[q]
+        pred[sym[x]][ix[q]] |= 1 << ix[p]
+    return succ, pred
+
+
+def fronts(succ: list[list[int]], start: int, depth: int) -> list[list[int]]:
+    """fronts[j][c]: the states reached from the set `start` by the j-symbol
+    word of lexicographic rank c, for j = 0..depth."""
+    out = [[start]]
+    for _ in range(depth):
+        out.append([post(f, fwd) for f in out[-1] for fwd in succ])
+    return out
+
+
+def can_read(pred: list[list[int]], n: int, depth: int) -> list[list[int]]:
+    """can_read[m][c]: the states from which the m-symbol word of
+    lexicographic rank c can be read, for m = 0..depth."""
+    out = [[(1 << n) - 1]]
+    for _ in range(depth):
+        out.append([post(b, back) for back in pred for b in out[-1]])
+    return out
+
+
 def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
     """First (state, window) pair violating the (k,l) condition in (state,
     lexicographic word) order, or None. O(k * |Q|^2 * |alphabet|) steps on
     |Q|-bit ints; the pair sets kept are O(min(k, |Q|^2) * |Q|^2) bits."""
     n = len(a.states)
     ix = {q: i for i, q in enumerate(a.states)}
-    sym = {x: j for j, x in enumerate(a.alphabet)}
-    succ = [[0] * n for _ in a.alphabet]  # succ[x][p]: bitmask of p's x-successors
-    pred = [[0] * n for _ in a.alphabet]  # pred[x][r]: bitmask of r's x-predecessors
-    for p, x, q in a.transitions:
-        succ[sym[x]][ix[p]] |= 1 << ix[q]
-        pred[sym[x]][ix[q]] |= 1 << ix[p]
-
-    def post(mask: int, table: list[int]) -> int:
-        out = 0
-        for p in _bits(mask):
-            out |= table[p]
-        return out
+    succ, pred = masks(a)
 
     # a pair set is a list of n row masks: bit r of rows[p] holds pair (p, r)
     def pre(rows: list[int]) -> list[int]:
@@ -69,7 +106,7 @@ def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
         for p, row in enumerate(rows):
             reach = post(row, fwd) if row else 0
             if reach:
-                for t in _bits(fwd[p]):
+                for t in bits(fwd[p]):
                     out[t] |= reach
         return out
 

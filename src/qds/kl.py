@@ -17,8 +17,13 @@ The same argument at l = k gives the minimal window: a (k,k) bad row exists
 iff the diagonal-free square graph has a path of k nodes, hence k_min = 1 +
 the longest such path.
 
+The step table reads the same bitmasks: a row's live states at split j are
+the front of its j-symbol prefix intersected with the states that can read
+the rest (`kernels.fronts`, `kernels.can_read`). `step` restates the
+definition for one row; it is the table's oracle and raises its errors.
+
 Constructions whose size grows with k are checked against SIZE_BUDGET
-before anything is allocated.
+(`errors.SIZE_BUDGET`) before anything is allocated.
 """
 
 from __future__ import annotations
@@ -26,11 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import InputError, PreconditionError
-from .nfa import Nfa, accessible_states, delta_word
+from .errors import SIZE_BUDGET, InputError, PreconditionError
+from .nfa import Nfa, Node, accessible_states, delta_word
 from .words import Word, as_word, words_of_length
-
-SIZE_BUDGET = 1 << 24  # walk steps or step-table cells one call may take
 
 
 @dataclass(frozen=True)
@@ -106,28 +109,29 @@ def square_automaton(a: Nfa) -> SquareAutomaton:
 
 
 def _cycle_or_longest_path(
-    nodes: set[PairState], edges: dict[PairState, list[PairState]]
-) -> tuple[tuple[PairState, ...] | None, int]:
-    """Depth-first search of the given subgraph: (cycle, 0) for the first
-    directed cycle met, as a node sequence whose last element loops back to
-    the first; (None, n) when acyclic, n the node count of a longest path."""
+    roots: list[Node], edges: dict[Node, list[Node]]
+) -> tuple[list[Node] | None, int]:
+    """Depth-first search of a graph, started from `roots` in order:
+    (cycle, 0) for the first directed cycle met, as a node sequence whose
+    last element loops back to the first; (None, n) when acyclic, n the node
+    count of a longest path."""
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in nodes}
-    depth: dict[PairState, int] = {}  # nodes on a longest path from a finished node
-    for root in sorted(nodes, key=repr):
+    color = dict.fromkeys(roots, WHITE)
+    depth: dict[Node, int] = {}  # nodes on a longest path from a finished node
+    for root in roots:
         if color[root] != WHITE:
             continue
-        stack: list[tuple[PairState, int]] = [(root, 0)]
+        stack: list[tuple[Node, int]] = [(root, 0)]
         path = [root]
         color[root] = GREY
         while stack:
             node, idx = stack[-1]
-            succs = edges.get(node, [])
+            succs = edges[node]
             if idx < len(succs):
                 stack[-1] = (node, idx + 1)
                 nxt = succs[idx]
                 if color[nxt] == GREY:
-                    return tuple(path[path.index(nxt):]), 0
+                    return path[path.index(nxt):], 0
                 if color[nxt] == WHITE:
                     color[nxt] = GREY
                     stack.append((nxt, 0))
@@ -148,24 +152,51 @@ def exists_kl(a: Nfa) -> KlReport:
     certificate. Otherwise k_min = 1 + the node count of a longest path in
     that graph (1 when it is empty): a (k,k) bad row exists iff some path
     has k nodes, see the module docstring. Runs in time polynomial in
-    |Q|^2 x |alphabet|.
+    |Q|^2 x |alphabet|. The graph is walked on pair ids p*|Q| + r, roots
+    and edges in the order of the printed pairs and transitions
+    (`repr` of `PairState` and of the transition triple), the order the
+    certificate is found in.
     """
-    _require_single_initial(a)
+    init = _require_single_initial(a)
     missing = set(a.states) - accessible_states(a)
     if missing:
         raise PreconditionError(
             f"automaton must be accessible (unreachable: {sorted(missing)}); "
             "restrict to the accessible part first"
         )
-    square = square_automaton(a)
-    nodes = {p for p in square.states if not p.is_diagonal}
-    edges: dict[PairState, list[PairState]] = {p: [] for p in nodes}
-    for s, _, t in sorted(square.transitions, key=repr):
-        if s in nodes and t in nodes and t not in edges[s]:
-            edges[s].append(t)
-    cycle, longest = _cycle_or_longest_path(nodes, edges)
+    n = len(a.states)
+    succ, _ = kernels.masks(a)
+    start = a.states.index(init) * (n + 1)
+    arcs: dict[int, list[tuple[str, int]]] = {start: []}  # accessible pair -> (symbol, pair)
+    stack = [start]
+    while stack:
+        pair = stack.pop()
+        p, r = divmod(pair, n)
+        for x, fwd in zip(a.alphabet, succ):
+            for t in kernels.bits(fwd[p]):
+                for u in kernels.bits(fwd[r]):
+                    target = t * n + u
+                    arcs[pair].append((x, target))
+                    if target not in arcs:
+                        arcs[target] = []
+                        stack.append(target)
+    spelled = {
+        pair: f"({a.states[pair // n]},{a.states[pair % n]})"
+        for pair in arcs if pair // n != pair % n
+    }
+    edges: dict[int, list[int]] = {}
+    for pair, text in spelled.items():
+        out = edges[pair] = []
+        for _, t in sorted(
+            ((x, t) for x, t in arcs[pair] if t in spelled),
+            key=lambda xt: f"({text}, {xt[0]!r}, {spelled[xt[1]]})",
+        ):
+            if t not in out:
+                out.append(t)
+    cycle, longest = _cycle_or_longest_path(sorted(spelled, key=spelled.get), edges)
     if cycle is not None:
-        return KlReport(exists=False, certificate=cycle, k_min=None)
+        certificate = tuple(PairState(a.states[c // n], a.states[c % n]) for c in cycle)
+        return KlReport(exists=False, certificate=certificate, k_min=None)
     return KlReport(exists=True, certificate=None, k_min=1 + longest)
 
 
@@ -231,7 +262,14 @@ def step(a: Nfa, k: int, l: int, q: str, w) -> StepEntry:
 
 
 def step_table(a: Nfa, k: int, l: int) -> StepTable:
-    """Tabulate `step` over every (state, window) row."""
+    """`step` over every (state, window) row, in (state, lexicographic
+    word) order.
+
+    Entry j of a row is the largest split whose live set, the prefix front
+    AND the can-read set of the suffix, has at most one bit; both sets are
+    tabulated once per word, so no row reruns `delta_word`. A row where no
+    j qualifies is handed to `step`, which raises the error naming it.
+    """
     _require_single_initial(a)
     n, s = len(a.states), max(len(a.alphabet), 1)
     # each row holds a k-symbol window; s ** k is capped at k = 25: from
@@ -241,11 +279,29 @@ def step_table(a: Nfa, k: int, l: int) -> StepTable:
             f"step table |Q|*|alphabet|^k*k = {n}*{s}^{k}*{k} cells is over "
             f"the size budget {SIZE_BUDGET}"
         )
-    entries = {
-        (q, w): step(a, k, l, q, w)
-        for q in a.states
-        for w in words_of_length(a.alphabet, k)
-    }
+    # a negative k reads as k = 0, whose one row `step` refuses
+    words = list(words_of_length(a.alphabet, max(k, 0)))
+    if not words or not 1 <= l <= k:  # `step` refuses the first row, if any
+        entries = {(q, w): step(a, k, l, q, w) for q in a.states for w in words}
+        return StepTable(k=k, l=l, entries=entries)
+    succ, pred = kernels.masks(a)
+    live_after = kernels.can_read(pred, n, k - 1)
+    splits = [(j, s ** (k - j), live_after[k - j]) for j in range(l, 0, -1)]
+    made: dict[tuple[int, int], StepEntry] = {}
+    entries = {}
+    for i, q in enumerate(a.states):
+        reached = kernels.fronts(succ, 1 << i, l)
+        for c, w in enumerate(words):
+            for j, cut, live_b in splits:
+                live = reached[j][c // cut] & live_b[c % cut]
+                if not live & (live - 1):  # at most one live state
+                    if (j, live) not in made:  # one entry object per value
+                        survivor = a.states[live.bit_length() - 1] if live else None
+                        made[j, live] = StepEntry(j, survivor)
+                    entries[q, w] = made[j, live]
+                    break
+            else:
+                step(a, k, l, q, w)  # raises: no split disambiguates this row
     return StepTable(k=k, l=l, entries=entries)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, TypeVar
 
-from .errors import InputError, PreconditionError
+from .errors import SIZE_BUDGET, InputError, PreconditionError
 from .words import as_word, check_token
 
 Transition = tuple[str, str, str]
@@ -189,7 +189,9 @@ def subset_name(members: Iterable[str]) -> str:
 
 def determinize(a: Nfa) -> Dfa:
     """Accessible part of the powerset automaton. Subset states carry
-    canonical, order-independent names so results are reproducible."""
+    canonical, order-independent names so results are reproducible. Each
+    subset found counts |Q| cells; the construction is refused once the
+    count passes SIZE_BUDGET."""
     start = frozenset(a.initials)
     names: dict[frozenset[str], str] = {start: subset_name(start)}
     order = [start]
@@ -205,6 +207,11 @@ def determinize(a: Nfa) -> Dfa:
                 continue
             target = frozenset(nxt)
             if target not in names:
+                if (len(order) + 1) * len(a.states) > SIZE_BUDGET:
+                    raise InputError(
+                        f"subset construction subsets*|Q| = {len(order) + 1}*"
+                        f"{len(a.states)} cells is over the size budget {SIZE_BUDGET}"
+                    )
                 names[target] = subset_name(target)
                 order.append(target)
                 frontier.append(target)

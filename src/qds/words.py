@@ -15,7 +15,8 @@ def check_token(tok: str, kind: str) -> None:
     """State ids and symbols are what the text formats can carry: non-empty,
     whitespace-free, not "_" (bottom / the empty word), not starting with "@"
     (a directive) and without "#" (a comment)."""
-    if (not tok or any(c.isspace() for c in tok) or tok == "_"
+    # tok.split() == [tok] iff tok is non-empty and has no whitespace
+    if (tok.split() != [tok] or tok == "_"
             or tok.startswith("@") or "#" in tok):
         raise InputError(f"bad {kind} {tok!r}")
 

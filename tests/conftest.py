@@ -8,9 +8,11 @@ a shift relabel unlocks a reduction.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from qds import Dfa, Nfa, Qds
+from qds import Dfa, Nfa, Qds, accessible_part, random_nfa
 
 
 def mk_nfa(alphabet, states, initials, finals, transitions) -> Nfa:
@@ -21,6 +23,28 @@ def mk_nfa(alphabet, states, initials, finals, transitions) -> Nfa:
         finals=frozenset(finals),
         transitions=tuple(transitions),
     )
+
+
+def window_cases(n_items: int):
+    """(a, k, l) triples for the step table and the build: seeded random
+    NFAs with 1-6 states over 1-3 symbols at 1 <= l <= k <= 5, half of them
+    cut to their accessible part, then a unary and an empty-alphabet
+    automaton at every such (k, l)."""
+    for seed in range(n_items):
+        rng = random.Random(seed)
+        a = random_nfa(seed, rng.randint(1, 6), rng.randint(1, 3),
+                       rng.choice((0.15, 0.3, 0.5)), 0.5)
+        if seed % 2:
+            a = accessible_part(a)
+        k = rng.randint(1, 5)
+        yield a, k, rng.randint(1, k)
+    unary = mk_nfa("a", ["0", "1", "2"], ["0"], ["2"],
+                   [("0", "a", "0"), ("0", "a", "1"), ("1", "a", "2")])
+    no_symbols = mk_nfa("", ["0", "1"], ["0"], ["0"], [])
+    for a in (unary, no_symbols):
+        for k in range(1, 6):
+            for l in range(1, k + 1):
+                yield a, k, l
 
 
 @pytest.fixture

@@ -38,6 +38,7 @@ from qds import (
 from qds.family import lk_predicate
 from qds.reduction import _refine
 from qds.words import words_up_to
+from tests.reference_build import reference_build
 from tests.enumeration import scan_witness
 
 
@@ -108,10 +109,11 @@ def test_acceptance_2_worked_fork_example(window4):
 
 
 def test_acceptance_3_window_table_construction(suffix_marker_nfa):
+    assert len(reference_build(suffix_marker_nfa, 3, 3).states) == 45
     s = build_qds(suffix_marker_nfa, 3, 3)
-    assert len(s.states) == 45
+    assert len(s.states) == 15
     pruned = prune_unreachable(s)
-    assert len(pruned.states) == 15
+    assert pruned == s
     shifts = [
         pruned.gamma[f"1|{w}"][1]
         for w in ("aaa", "aab", "aba", "abb", "baa", "bab", "bba", "bbb")
@@ -121,7 +123,7 @@ def test_acceptance_3_window_table_construction(suffix_marker_nfa):
         assert qds_membership(pruned, w).accepted == nfa_membership(
             suffix_marker_nfa, w
         )
-    report(3, "45-state build, 15 after pruning, shifts 1,1,2,3,1,1,2,3, same language")
+    report(3, "15-state build (45 over every state), shifts 1,1,2,3,1,1,2,3, same language")
 
 
 def test_acceptance_4_windowed_membership(two_lane_qds, three_state_dfa, suffix_marker_nfa):

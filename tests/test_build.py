@@ -11,8 +11,11 @@ from qds import (
     random_nfa,
     step_table,
 )
+from qds.formats import serialize_qds
+from qds.nfa import closure
 from qds.words import words_up_to
-from tests.conftest import mk_nfa
+from tests.conftest import mk_nfa, window_cases
+from tests.reference_build import reference_build
 
 
 @pytest.fixture
@@ -20,15 +23,30 @@ def suffix_qds(suffix_marker_nfa):
     return build_qds(suffix_marker_nfa, 3, 3)
 
 
+def sources(a, k, l):
+    """The initial state and every step successor reachable from it."""
+    arcs = [(q, e.successor) for (q, _), e in step_table(a, k, l).entries.items()
+            if e.successor is not None]
+    return closure(a.initials, arcs)
+
+
 def test_size_formula(suffix_marker_nfa, suffix_qds):
-    assert len(suffix_qds.states) == 3 * (2**4 - 1) // (2 - 1) == 45
+    """Every step successor of Sigma* a Sigma is state 1, the initial, so
+    the build is one tree of 2^4 - 1 pairs; over all three states the
+    construction has three."""
+    assert sources(suffix_marker_nfa, 3, 3) == {"1"}
+    assert len(suffix_qds.states) == 1 * (2**4 - 1) // (2 - 1) == 15
+    assert len(reference_build(suffix_marker_nfa, 3, 3).states) == 3 * 15 == 45
     assert suffix_qds.m == 4
 
 
 def test_size_formula_unary():
-    a = mk_nfa("a", ["0", "1"], ["0"], ["1"], [("0", "a", "1"), ("1", "a", "1")])
+    a = mk_nfa("a", ["0", "1", "2"], ["0"], ["1"],
+               [("0", "a", "1"), ("1", "a", "1"), ("2", "a", "1")])
     s = build_qds(a, 2, 2)
-    assert len(s.states) == 2 * (2 + 1)  # |Q| * (k+1) on a one-letter alphabet
+    assert sources(a, 2, 2) == {"0", "1"}
+    assert len(s.states) == 2 * (2 + 1)  # |R| * (k+1) on a one-letter alphabet
+    assert len(reference_build(a, 2, 2).states) == 3 * (2 + 1)  # |Q| * (k+1)
 
 
 def test_size_formula_random_instances():
@@ -44,11 +62,32 @@ def test_size_formula_random_instances():
             continue
         k, l = find_minimal_kl(a)
         s = build_qds(a, k, l)
-        sigma, n = len(a.alphabet), len(a.states)
-        want = n * (k + 1) if sigma == 1 else n * (sigma ** (k + 1) - 1) // (sigma - 1)
-        assert len(s.states) == want
+        sigma = len(a.alphabet)
+        tree = k + 1 if sigma == 1 else (sigma ** (k + 1) - 1) // (sigma - 1)
+        assert len(s.states) == len(sources(a, k, l)) * tree
+        assert len(reference_build(a, k, l).states) == len(a.states) * tree
         built += 1
     assert built >= 8
+
+
+def test_build_is_pruned_reference_build():
+    """The reachable build prints byte for byte as the pruned construction
+    over every state, fails with the same error where that fails, and
+    pruning leaves it as it is."""
+    built = 0
+    for a, k, l in window_cases(600):
+        try:
+            want = serialize_qds(prune_unreachable(reference_build(a, k, l)))
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as err:
+                build_qds(a, k, l)
+            assert str(err.value) == str(exc)
+            continue
+        s = build_qds(a, k, l)
+        assert serialize_qds(s) == want, (a, k, l)
+        assert prune_unreachable(s) == s
+        built += 1
+    assert built >= 300
 
 
 def test_prune_matches_figure(suffix_qds):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qds import gen_lk_nfa
 from qds.cli import main
 from qds.formats import parse_nfa, parse_qds, serialize_nfa, serialize_qds
 from qds.kernels import _python_witness
@@ -62,8 +63,13 @@ def test_check_negative_is_exit_1(w4_file, capsys):
 
 
 def test_check_bad_params_exit_2(w4_file, capsys):
-    assert main(["check", "--k", "2", "--l", "3", w4_file]) == 2
-    assert "error:" in capsys.readouterr().err
+    """l outside 1..k, a negative k included, is one error line on every
+    command that takes a window."""
+    for cmd in ("check", "steptable", "build-qds"):
+        for k, l in ((2, 3), (-1, 1)):
+            assert main([cmd, "--k", str(k), "--l", str(l), w4_file]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: need 1 <= l <= k, got k={k}, l={l}\n", cmd
 
 
 def test_exists(w4_file, no_pair_file, capsys):
@@ -164,6 +170,38 @@ def test_over_size_budget_exit_2(sm_file, tmp_path, capsys, text, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["family", "--kmax", "19"], ["family", "--emit", "19"],
+                                  ["family", "--kmax", "1000000000"]])
+def test_family_over_size_budget_exit_2(tmp_path, monkeypatch, capsys, argv):
+    """The L_K subset construction, 2^(K+1) subsets of K+2 states, is over
+    the budget from K = 19 on (2^20*21 cells) and is refused up front."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "size budget" in err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_determinize_over_size_budget_exit_2(tmp_path, monkeypatch, capsys):
+    """The subset construction counts |Q| cells per subset it finds and stops
+    once the count passes the budget. L_9 has 11 states and 2^10 subsets:
+    shrinking the budget to 2^10*11 cells still lets it through, one cell
+    less refuses it, which checks the guard without a 2^24-cell input."""
+    from qds import nfa
+
+    path = tmp_path / "lk9.nfa"
+    path.write_text(serialize_nfa(gen_lk_nfa(9)))
+    monkeypatch.setattr(nfa, "SIZE_BUDGET", 2**10 * 11)
+    assert main(["determinize", str(path)]) == 0
+    assert len(parse_nfa(capsys.readouterr().out).states) == 2**10
+    monkeypatch.setattr(nfa, "SIZE_BUDGET", 2**10 * 11 - 1)
+    assert main(["determinize", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "size budget 11263" in err
+    assert err.count("\n") == 1
+
+
 def test_member_accept_reject(qds_file, capsys):
     assert main(["member", "--word", "bbbaabab", qds_file]) == 0
     out = capsys.readouterr().out
@@ -181,7 +219,7 @@ def test_member_trace(qds_file, capsys):
 def test_build_and_member_pipeline(sm_file, tmp_path, capsys):
     out = tmp_path / "built.qds"
     assert (
-        main(["build-qds", "--k", "3", "--l", "3", "--prune", "--out", str(out), sm_file])
+        main(["build-qds", "--k", "3", "--l", "3", "--out", str(out), sm_file])
         == 0
     )
     s = parse_qds(out.read_text())

@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from qds import (
     InputError,
     PreconditionError,
+    QdsError,
     accessible_part,
     exists_kl,
     find_minimal_kl,
@@ -18,11 +20,11 @@ from qds import (
     step,
     step_table,
 )
-from qds import StepEntry, kernels
+from qds import KlReport, StepEntry, kernels, kl
 from qds.formats import parse_nfa
 from qds.kernels import _python_witness
 from qds.words import words_of_length
-from tests.conftest import mk_nfa
+from tests.conftest import mk_nfa, window_cases
 from tests.enumeration import scan_witness
 
 
@@ -113,6 +115,40 @@ def test_exists_counterexample_certificate(ambiguous_loop_nfa):
             and dst.second in a.successors(src.second, sym)
             for sym in a.alphabet
         )
+
+
+def _exists_on_square_automaton(a):
+    """`exists_kl` on the `square_automaton` of `a`: the pairs, the
+    diagonal-free graph and its root and edge order rebuilt from the
+    PairState graph, the oracle for the walk on pair ids."""
+    square = square_automaton(a)
+    nodes = {p for p in square.states if not p.is_diagonal}
+    edges = {p: [] for p in nodes}
+    for s, _, t in sorted(square.transitions, key=repr):
+        if s in nodes and t in nodes and t not in edges[s]:
+            edges[s].append(t)
+    cycle, longest = kl._cycle_or_longest_path(sorted(nodes, key=repr), edges)
+    if cycle is not None:
+        return KlReport(exists=False, certificate=tuple(cycle), k_min=None)
+    return KlReport(exists=True, certificate=None, k_min=1 + longest)
+
+
+def test_exists_matches_square_automaton():
+    """Same verdict, k_min and certificate, pair for pair, on seeded NFAs
+    and on relabellings whose printed order differs from the declared one
+    (multi-character names, commas and brackets in names, quotes in
+    symbols)."""
+    for seed in range(300):
+        a = accessible_part(random_nfa(seed, 1 + seed % 9, 1 + seed % 3,
+                                       (0.1, 0.2, 0.35)[seed % 3], 0.5))
+        assert exists_kl(a) == _exists_on_square_automaton(a)
+        rng = random.Random(seed)
+        names = {q: rng.choice(["x", "q(", "a,b", "10"]) + q for q in a.states}
+        syms = {x: rng.choice(["a", "it's", "b2"]) + str(i) for i, x in enumerate(a.alphabet)}
+        odd = mk_nfa([syms[x] for x in a.alphabet], [names[q] for q in a.states],
+                     [names[q] for q in a.initials], [names[q] for q in a.finals],
+                     [(names[p], syms[x], names[q]) for p, x, q in a.transitions])
+        assert exists_kl(odd) == _exists_on_square_automaton(odd)
 
 
 def test_exists_requires_accessible():
@@ -241,6 +277,29 @@ def test_step_table_shape(suffix_marker_nfa, three_state_dfa):
     for (q, w), e in t1.entries.items():
         succ = three_state_dfa.step(q, w[0])
         assert e == StepEntry(1, succ)
+
+
+def _rows_or_error(tabulate):
+    try:
+        return list(tabulate().items())
+    except QdsError as exc:
+        return type(exc), str(exc)
+
+
+def test_step_table_is_step_on_every_row():
+    """The bitmask table equals `step` row by row, in the same order, and a
+    table with a bad row raises the error `step` raises on the first one."""
+    clean = 0
+    for a, k, l in window_cases(600):
+        got = _rows_or_error(lambda: step_table(a, k, l).entries)
+        want = _rows_or_error(lambda: {
+            (q, w): step(a, k, l, q, w)
+            for q in a.states
+            for w in words_of_length(a.alphabet, k)
+        })
+        assert got == want, (a, k, l)
+        clean += isinstance(got, list)
+    assert clean >= 300
 
 
 # --- minimal pair search ------------------------------------------------
