@@ -128,30 +128,17 @@ def _cmd_member(args) -> int:
 
 def _cmd_trim(args) -> int:
     s = _load_qds(args.file)
-    trimmed = trim.trim_qds(s)
-    _write_text(args.out, formats.serialize_qds(trimmed))
+    report = trim.compute_useful(s)
+    _write_text(args.out, formats.serialize_qds(trim.trim_qds(s, report)))
     if args.report:
-        report = trim.compute_useful(s)
-        gone_states = [q for q in s.states if q not in report.useful_states]
-        gone_delta = [
-            (p, x, q)
-            for (p, x), q in sorted(s.delta.items())
-            if (p, x, q) not in report.useful_delta
-        ]
-        gone_gamma = [
-            (p, shift, target)
-            for p, (target, shift) in sorted(s.gamma.items())
-            if target is not None and (p, shift, target) not in report.useful_gamma
-        ]
-        gone_final = [
-            q for q in s.states
-            if q in s.finals and q not in report.useful_finalities
-        ]
         lines = ["kind\tdetail"]
-        lines += [f"state\t{q}" for q in gone_states]
-        lines += [f"delta\t{p} {x} {q}" for p, x, q in gone_delta]
-        lines += [f"gamma\t{p} {t} {l}" for p, l, t in gone_gamma]
-        lines += [f"finality\t{q}" for q in gone_final]
+        lines += [f"state\t{q}" for q in s.states if q not in report.useful_states]
+        lines += [f"delta\t{p} {x} {q}" for (p, x), q in sorted(s.delta.items())
+                  if (p, x, q) not in report.useful_delta]
+        lines += [f"gamma\t{p} {target} {shift}" for p, (target, shift) in sorted(s.gamma.items())
+                  if target is not None and (p, shift, target) not in report.useful_gamma]
+        lines += [f"finality\t{q}" for q in s.states
+                  if q in s.finals and q not in report.useful_finalities]
         stream = sys.stdout if args.out not in (None, "-") else sys.stderr
         print("\n".join(lines), file=stream)
     return 0
@@ -263,74 +250,48 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, help, out=True, ints=""):
+        """A subcommand on `file`, with `--out` if `out` and a required int
+        option per letter of `ints`."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
+        for opt in ints:
+            p.add_argument(f"--{opt}", type=int, required=True)
+        if out:
+            p.add_argument("--out", default=None)
+        p.add_argument("file")
         return p
 
-    p = add("check", _cmd_check, help="is the automaton (k,l)-unambiguous?")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("file")
+    add("check", _cmd_check, "is the automaton (k,l)-unambiguous?", out=False, ints="kl")
+    add("exists", _cmd_exists, "does any (k,l) pair work?", out=False)
+    add("minimal", _cmd_minimal, "smallest working (k,l) pair", out=False)
+    add("steptable", _cmd_steptable, "step index/successor table as TSV", ints="kl")
+    add("lookahead", _cmd_lookahead, "is it k-lookahead deterministic?", out=False, ints="k")
+    add("build-qds", _cmd_build_qds, "compile a (k,l)-unambiguous NFA (reachable part)",
+        ints="kl")
 
-    p = add("exists", _cmd_exists, help="does any (k,l) pair work?")
-    p.add_argument("file")
-
-    p = add("minimal", _cmd_minimal, help="smallest working (k,l) pair")
-    p.add_argument("file")
-
-    p = add("steptable", _cmd_steptable, help="step index/successor table as TSV")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("file")
-
-    p = add("lookahead", _cmd_lookahead, help="is it k-lookahead deterministic?")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("file")
-
-    p = add("build-qds", _cmd_build_qds, help="compile a (k,l)-unambiguous NFA (reachable part)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("file")
-
-    p = add("member", _cmd_member, help="windowed membership test")
+    p = add("member", _cmd_member, "windowed membership test", out=False)
     p.add_argument("--word", required=True,
                    help="symbols; one char each, or whitespace-separated; _ is empty")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("file")
 
-    p = add("trim", _cmd_trim, help="drop useless states/edges/finalities")
+    p = add("trim", _cmd_trim, "drop useless states/edges/finalities")
     p.add_argument("--report", action="store_true",
                    help="also emit a TSV of removed components")
-    p.add_argument("--out", default=None)
-    p.add_argument("file")
 
-    p = add("pathdfa", _cmd_pathdfa, help="accessible path-DFA of a QDS")
+    p = add("pathdfa", _cmd_pathdfa, "accessible path-DFA of a QDS")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--out", default=None)
-    p.add_argument("file")
 
-    p = add("reduce", _cmd_reduce, help="quotient by the refinement fixpoint")
+    p = add("reduce", _cmd_reduce, "quotient by the refinement fixpoint")
     p.add_argument("--classes", action="store_true",
                    help="also emit a TSV of the equivalence classes")
-    p.add_argument("--out", default=None)
-    p.add_argument("file")
 
-    p = add("dfa2qds", _cmd_dfa2qds, help="embed a DFA as a window-1 QDS")
-    p.add_argument("--out", default=None)
-    p.add_argument("file")
+    add("dfa2qds", _cmd_dfa2qds, "embed a DFA as a window-1 QDS")
+    add("determinize", _cmd_determinize, "subset construction")
+    add("minimize", _cmd_minimize, "minimal DFA (input must be deterministic)")
 
-    p = add("determinize", _cmd_determinize, help="subset construction")
-    p.add_argument("--out", default=None)
-    p.add_argument("file")
-
-    p = add("minimize", _cmd_minimize, help="minimal DFA (input must be deterministic)")
-    p.add_argument("--out", default=None)
-    p.add_argument("file")
-
-    p = add("family", _cmd_family, help="size/throughput report for the witness family")
+    p = sub.add_parser("family", help="size/throughput report for the witness family")
+    p.set_defaults(fn=_cmd_family)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--porcelain", action="store_true",
                    help="machine mode: no human summary lines")
@@ -340,13 +301,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="write the NFA, QDS and minimal DFA for one k")
     p.add_argument("--prefix", default=None, help="file prefix for --emit")
 
-    p = add("stats", _cmd_stats, help="layer/shift statistics of a QDS")
-    p.add_argument("--out", default=None)
-    p.add_argument("file")
-
-    p = add("dot", _cmd_dot, help="DOT export (type auto-detected)")
-    p.add_argument("--out", default=None)
-    p.add_argument("file")
+    add("stats", _cmd_stats, "layer/shift statistics of a QDS")
+    add("dot", _cmd_dot, "DOT export (type auto-detected)")
 
     return parser
 

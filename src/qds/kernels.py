@@ -127,21 +127,41 @@ def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
             return tail[min(k - i, len(tail) - 1)]
         return head[min(l - i, len(head) - 1)]
 
+    def run(front: list[int], live: list[int], count: int) -> tuple[list[str], list[int]]:
+        """The symbols of `count` steps from `front` under one `live`, and
+        the front after them. The step is then a fixed map on fronts, so
+        from the first front that recurs the symbols repeat."""
+        word: list[str] = []
+        seen: dict[tuple[int, ...], int] = {}  # the fronts met, in order: their step
+        while len(word) < count:
+            j = seen.setdefault(tuple(front), len(word))
+            if j < len(word):
+                period, rest = len(word) - j, count - len(word)
+                front = list(seen)[j + rest % period]
+                word += (word[j:] * (rest // period + 1))[:rest]
+                break
+            for x, fwd in zip(a.alphabet, succ):
+                nxt = [s & t for s, t in zip(image(front, fwd), live)]
+                if any(nxt):
+                    break
+            word.append(x)
+            front = nxt
+        return word, front
+
+    # feas is one list on positions 1..l-len(head)+1 and l+1..k-len(tail)+1,
+    # where each stretch has settled, and changes at every other position
+    settled = {1: l - len(head) + 1, l + 1: k - len(tail) + 1}
     for q in a.states:
         i0 = ix[q]
         if not start[i0] >> i0 & 1:
             continue
         front = [0] * n
         front[i0] = 1 << i0
-        word = []
-        for i in range(1, k + 1):
-            live = feas(i)
-            for x, fwd in zip(a.alphabet, succ):
-                front_x = [s & t for s, t in zip(image(front, fwd), live)]
-                if any(front_x):
-                    break
-            word.append(x)
-            front = front_x
+        word: list[str] = []
+        while len(word) < k:
+            i = len(word) + 1
+            part, front = run(front, feas(i), settled.get(i, i) - i + 1)
+            word += part
         return q, tuple(word)
     return None
 

@@ -7,18 +7,28 @@ tracks exactly that context: each of its states is (base state, symbols read
 since the last shift, pending overlap still owed by that shift). Useful
 components of the structure are read off the accessible-and-coaccessible
 part of this DFA.
+
+The walk runs on `Qds.tables` with nodes (row offset, u codes, v codes) and
+tries only the tokens that can fire: a top-layer node its gamma shift, an
+inner node the column v[|u|] while v is unpaid, else every delta column.
+Names return only when the useful parts are lifted; `path_dfa_step`
+restates one step off the definition, as the tests' oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
-from .nfa import closure
+from .errors import SIZE_BUDGET, InputError
 from .structure import Qds, restrict_qds
 from .words import Word
 
 Token = str | int  # extended alphabet: symbols plus shift lengths
+Node = tuple[int, tuple[int, ...], tuple[int, ...]]  # (row offset, u codes, v codes)
 
 
 class PathDfaState(NamedTuple):
@@ -28,14 +38,6 @@ class PathDfaState(NamedTuple):
 
     def __repr__(self) -> str:
         return f"({self.base},{'.'.join(self.u) or '_'},{'.'.join(self.v) or '_'})"
-
-
-def _prefix(a: Word, b: Word) -> bool:
-    return len(a) <= len(b) and b[: len(a)] == a
-
-
-def _proper_prefix(a: Word, b: Word) -> bool:
-    return len(a) < len(b) and b[: len(a)] == a
 
 
 def path_dfa_step(s: Qds, state: PathDfaState, token: Token) -> PathDfaState | None:
@@ -59,55 +61,97 @@ def path_dfa_step(s: Qds, state: PathDfaState, token: Token) -> PathDfaState | N
     if nxt is None:
         return None
     ua = u + (token,)
-    if not (_prefix(ua, v) or _prefix(v, ua)):
+    if ua[: len(v)] != v[: len(ua)]:  # one is not a prefix of the other
         return None
     return PathDfaState(nxt, ua, v)
 
 
-def _is_final(s: Qds, state: PathDfaState) -> bool:
-    return state.base in s.finals and _proper_prefix(state.v, state.u)
+class _States(Sequence):
+    """`PathDfa.states`: the nodes, each lifted to names when read."""
+
+    def __init__(self, pdfa: PathDfa):
+        self.pdfa = pdfa
+
+    def __len__(self) -> int:
+        return len(self.pdfa.nodes)
+
+    def __getitem__(self, i: int) -> PathDfaState:
+        return self.pdfa.lift(self.pdfa.nodes[i])
 
 
 @dataclass(frozen=True)
 class PathDfa:
     """Accessible part of the path-DFA of a QDS, over the extended alphabet
-    of symbols and shift lengths."""
+    of symbols and shift lengths: the nodes in breadth-first order and their
+    edges, with `states`, `finals` and `transitions` by name."""
 
     source: Qds
-    states: tuple[PathDfaState, ...]
     initial: PathDfaState
-    finals: frozenset[PathDfaState]
-    transitions: dict[tuple[PathDfaState, Token], PathDfaState]
+    nodes: list[Node]
+    final_ids: list[int]
+    edge_src: list[int]
+    edge_dst: list[int]
+
+    def lift(self, node: Node) -> PathDfaState:
+        (row, u, v), sym = node, self.source.alphabet
+        return PathDfaState(self.source.states[row // self.source.tables.width],
+                            tuple(sym[c] for c in u), tuple(sym[c] for c in v))
+
+    @property
+    def states(self) -> Sequence[PathDfaState]:
+        return _States(self)
+
+    @cached_property
+    def finals(self) -> frozenset[PathDfaState]:
+        return frozenset(self.lift(self.nodes[i]) for i in self.final_ids)
+
+    @cached_property
+    def transitions(self) -> dict[tuple[PathDfaState, Token], PathDfaState]:
+        lifted, t, out = list(self.states), self.source.tables, {}
+        for p, q in zip(self.edge_src, self.edge_dst):
+            u = self.nodes[q][1]  # a symbol appends to u, a shift empties it
+            token = self.source.alphabet[u[-1]] if u else t.gamma[self.nodes[p][0] // t.width][1]
+            out[(lifted[p], token)] = lifted[q]
+        return out
 
 
 def build_path_dfa(s: Qds) -> PathDfa:
-    """Explore the path-DFA lazily from (initial, eps, eps); only accessible
-    states are materialized."""
-    start = PathDfaState(s.initial, (), ())
-    tokens: tuple[Token, ...] = tuple(s.alphabet) + tuple(range(1, s.m + 1))
-    order = [start]
-    seen = {start}
-    transitions: dict[tuple[PathDfaState, Token], PathDfaState] = {}
-    frontier = [start]
-    while frontier:
-        state = frontier.pop(0)
-        for token in tokens:
-            nxt = path_dfa_step(s, state, token)
-            if nxt is None:
-                continue
-            transitions[(state, token)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                frontier.append(nxt)
-    finals = frozenset(p for p in order if _is_final(s, p))
-    return PathDfa(
-        source=s,
-        states=tuple(order),
-        initial=start,
-        finals=finals,
-        transitions=transitions,
-    )
+    """Explore the path-DFA breadth first from (initial, eps, eps); only
+    accessible states are materialized. Each state found counts m cells;
+    the construction is refused once the count passes SIZE_BUDGET."""
+    t = s.tables
+    delta, gamma, width, finals = t.delta, t.gamma, t.width, t.finals
+    columns = range(len(s.alphabet))
+    cap = SIZE_BUDGET // s.m  # states allowed
+    start: Node = (t.initial, (), ())
+    nodes = [start]
+    index = {start: 0}
+    final_ids: list[int] = []
+    edge_src: list[int] = []  # edge e runs from node edge_src[e] to edge_dst[e]
+    edge_dst: list[int] = []
+    for i, (row, u, v) in enumerate(nodes):  # the list grows behind the cursor
+        if row in finals and len(v) < len(u):  # v is a proper prefix of u
+            final_ids.append(i)
+        g = gamma[row // width]
+        if g is None:  # inner layer: u and v stay prefix-comparable
+            n = len(u)
+            moves = [(delta[row + c], u + (c,), v)
+                     for c in ((v[n],) if n < len(v) else columns) if delta[row + c] >= 0]
+        elif g[0] >= 0:  # top layer: the one shift gamma allows
+            moves = [(g[0], (), u[g[1]:])]
+        else:
+            continue
+        for node in moves:
+            count = len(nodes)
+            j = index.setdefault(node, count)
+            if j == count:
+                if count >= cap:
+                    raise InputError(f"path-DFA states*m = {count + 1}*{s.m} cells "
+                                     f"is over the size budget {SIZE_BUDGET}")
+                nodes.append(node)
+            edge_src.append(i)
+            edge_dst.append(j)
+    return PathDfa(s, PathDfaState(s.initial, (), ()), nodes, final_ids, edge_src, edge_dst)
 
 
 @dataclass(frozen=True)
@@ -127,35 +171,54 @@ def compute_useful(s: Qds) -> UsefulReport:
     is accessible and coaccessible; states, edges and finalities of the QDS
     are useful iff some useful instance witnesses them."""
     pdfa = build_path_dfa(s)
-    # all built states are accessible, so the coaccessible ones are useful
-    useful = closure(pdfa.finals, ((dst, src) for (src, _), dst in pdfa.transitions.items()))
-
-    states = {p.base for p in useful} | {s.initial}
-    delta_edges: set[tuple[str, str, str]] = set()
-    gamma_edges: set[tuple[str, int, str]] = set()
-    for (src, token), dst in pdfa.transitions.items():
-        if src not in useful or dst not in useful:
-            continue
-        if isinstance(token, int):
-            gamma_edges.add((src.base, token, dst.base))
-        else:
-            delta_edges.add((src.base, token, dst.base))
-    finalities = {p.base for p in useful if p in pdfa.finals}
+    nodes, t = pdfa.nodes, s.tables
+    width = t.width
+    into: list[list[int]] = [[] for _ in nodes]
+    for p, q in zip(pdfa.edge_src, pdfa.edge_dst):
+        into[q].append(p)
+    # all built states are accessible, so the coaccessible ones are useful,
+    # and so is every edge into one: delta if it appended to u, else gamma
+    useful = bytearray(len(nodes))
+    delta_used = bytearray(len(t.delta))  # by delta slot, row + column
+    gamma_used = bytearray(len(t.gamma))  # by state number
+    stack = pdfa.final_ids[:]
+    for i in stack:
+        useful[i] = 1
+    while stack:
+        q = stack.pop()
+        u = nodes[q][1]
+        for p in into[q]:
+            if u:
+                delta_used[nodes[p][0] + u[-1]] = 1
+            else:
+                gamma_used[nodes[p][0] // width] = 1
+            if not useful[p]:
+                useful[p] = 1
+                stack.append(p)
+    names, sym = s.states, s.alphabet
+    finalities = {names[nodes[i][0] // width] for i in pdfa.final_ids}
     if s.initial in s.finals:
         finalities.add(s.initial)  # the empty path is successful
     return UsefulReport(
-        useful_states=frozenset(states),
-        useful_delta=frozenset(delta_edges),
-        useful_gamma=frozenset(gamma_edges),
+        useful_states=frozenset(
+            {names[nodes[i][0] // width] for i in compress(range(len(nodes)), useful)}
+            | {s.initial}),
+        useful_delta=frozenset(
+            (names[x // width], sym[x % width], names[t.delta[x] // width])
+            for x in compress(range(len(delta_used)), delta_used)),
+        useful_gamma=frozenset(
+            (names[i], t.gamma[i][1], names[t.gamma[i][0] // width])
+            for i in compress(range(len(gamma_used)), gamma_used)),
         useful_finalities=frozenset(finalities),
     )
 
 
-def trim_qds(s: Qds) -> Qds:
-    """Keep only useful states, transitions and finalities; language
-    unchanged, idempotent. Gamma entries whose edge is useless collapse to
-    bottom; trailing layers left empty are dropped (keeping at least two)."""
-    report = compute_useful(s)
+def trim_qds(s: Qds, report: UsefulReport | None = None) -> Qds:
+    """Keep only useful states, transitions and finalities (`report`, or
+    `compute_useful(s)`); language unchanged, idempotent. Gamma entries whose
+    edge is useless collapse to bottom; trailing layers left empty are
+    dropped (keeping at least two)."""
+    report = report or compute_useful(s)
     return restrict_qds(
         s,
         report.useful_states,

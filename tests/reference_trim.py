@@ -1,0 +1,102 @@
+"""Trim on names, the oracle for `qds.trim`.
+
+The library walks the path-DFA on `Qds.tables` and tries only the tokens
+that can fire at a node. This is the construction straight off the
+definition: every state tries every symbol and every shift length through
+`path_dfa_step`, and usefulness is lifted over the string-keyed states.
+`reference_trim` must serialise byte-identically to `trim_qds`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from qds.nfa import closure
+from qds.structure import Qds, restrict_qds
+from qds.trim import (
+    PathDfaState,
+    Token,
+    UsefulReport,
+    path_dfa_step,
+)
+from qds.words import Word
+
+
+@dataclass(frozen=True)
+class ReferencePathDfa:
+    source: Qds
+    states: tuple[PathDfaState, ...]
+    initial: PathDfaState
+    finals: frozenset[PathDfaState]
+    transitions: dict[tuple[PathDfaState, Token], PathDfaState]
+
+
+def _proper_prefix(a: Word, b: Word) -> bool:
+    return len(a) < len(b) and b[: len(a)] == a
+
+
+def _is_final(s: Qds, state: PathDfaState) -> bool:
+    return state.base in s.finals and _proper_prefix(state.v, state.u)
+
+
+def reference_path_dfa(s: Qds) -> ReferencePathDfa:
+    """Breadth first from (initial, eps, eps), every token at every state."""
+    start = PathDfaState(s.initial, (), ())
+    tokens: tuple[Token, ...] = tuple(s.alphabet) + tuple(range(1, s.m + 1))
+    order = [start]
+    seen = {start}
+    transitions: dict[tuple[PathDfaState, Token], PathDfaState] = {}
+    frontier = [start]
+    while frontier:
+        state = frontier.pop(0)
+        for token in tokens:
+            nxt = path_dfa_step(s, state, token)
+            if nxt is None:
+                continue
+            transitions[(state, token)] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                frontier.append(nxt)
+    return ReferencePathDfa(
+        source=s,
+        states=tuple(order),
+        initial=start,
+        finals=frozenset(p for p in order if _is_final(s, p)),
+        transitions=transitions,
+    )
+
+
+def reference_useful(s: Qds) -> UsefulReport:
+    pdfa = reference_path_dfa(s)
+    useful = closure(pdfa.finals, ((dst, src) for (src, _), dst in pdfa.transitions.items()))
+    states = {p.base for p in useful} | {s.initial}
+    delta_edges: set[tuple[str, str, str]] = set()
+    gamma_edges: set[tuple[str, int, str]] = set()
+    for (src, token), dst in pdfa.transitions.items():
+        if src not in useful or dst not in useful:
+            continue
+        if isinstance(token, int):
+            gamma_edges.add((src.base, token, dst.base))
+        else:
+            delta_edges.add((src.base, token, dst.base))
+    finalities = {p.base for p in useful if p in pdfa.finals}
+    if s.initial in s.finals:
+        finalities.add(s.initial)
+    return UsefulReport(
+        useful_states=frozenset(states),
+        useful_delta=frozenset(delta_edges),
+        useful_gamma=frozenset(gamma_edges),
+        useful_finalities=frozenset(finalities),
+    )
+
+
+def reference_trim(s: Qds) -> Qds:
+    report = reference_useful(s)
+    return restrict_qds(
+        s,
+        report.useful_states,
+        {(p, x): q for p, x, q in report.useful_delta},
+        {p: (q, l) for p, l, q in report.useful_gamma},
+        report.useful_finalities,
+    )

@@ -118,3 +118,56 @@ def test_import_leaves_numpy_out():
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out == "[]\n"
+
+
+def test_forward_pass_copies_the_period():
+    """Once feas has settled the front walk is a fixed map, so the word is
+    copied from the first front that recurs. The 2-state unary NFA has a
+    bad row at every k; at k = 2^20 a step per symbol took seconds."""
+    unary = mk_nfa("a", ["0", "1"], ["0"], ["1"],
+                   [("0", "a", "0"), ("0", "a", "1"), ("1", "a", "1")])
+    k = 2**20
+    assert find_bad_row(unary, k, 1) == ("0", ("a",) * k)
+
+
+def test_periodic_walk_matches_reference_at_longer_windows():
+    """At k = 6 and 10 the settled stretches are long enough for fronts to
+    recur, with periods above 1 on about one in ten of these NFAs, so the
+    copied period is held to the row-by-row reference."""
+    cases = bad = 0
+    for seed in range(48):
+        sigma = 1 + (seed % 8 != 0)
+        a = accessible_part(random_nfa(seed, 2 + seed % 3, sigma, 0.2 + (seed % 4) * 0.1, 0.4))
+        for k in (6, 10):
+            for l in (1, 2, k):
+                expected = kernels._python_witness(a, k, l)
+                assert find_bad_row(a, k, l) == expected, (a, k, l)
+                cases += 1
+                bad += expected is not None
+    assert bad >= 40 and cases - bad >= 40
+
+
+def test_long_window_row_is_bad_by_definition():
+    """At k = 2^16 the row the walk returns meets the definition, checked
+    with the plain subset function: more than one state reached by w[:1]
+    can still read w[1:]."""
+    from qds.nfa import delta_word
+
+    k, found = 2**16, 0
+    alternating = mk_nfa("ab", "0123", ["0"], ["1"],
+                         [("0", "a", "1"), ("0", "a", "2"), ("1", "a", "3"),
+                          ("3", "b", "1"), ("2", "a", "2"), ("2", "b", "2")])
+    assert find_bad_row(alternating, k, 1) == ("0", ("a",) + ("a", "b") * (k // 2 - 1) + ("a",))
+    for seed in range(40):
+        a = accessible_part(random_nfa(seed, 2 + seed % 4, 2, 0.3, 0.4))
+        row = find_bad_row(a, k, 1)
+        if row is None:
+            continue
+        q, w = row
+        assert len(w) == k
+        live = {r for r in delta_word(a, {q}, w[:1]) if delta_word(a, {r}, w[1:])}
+        assert len(live) >= 2, (a, q)
+        found += 1
+        if found == 5:
+            break
+    assert found == 5

@@ -1,17 +1,33 @@
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qds import (
+    InputError,
+    Qds,
+    accessible_part,
     build_path_dfa,
     build_qds,
     compute_useful,
     dfa_to_qds,
     exists_kl,
     find_minimal_kl,
+    is_kl_unambiguous,
     prune_unreachable,
     qds_membership,
     random_nfa,
+    trim,
     trim_qds,
 )
+from qds.cli import main
+from qds.formats import parse_automaton, serialize_qds
 from qds.trim import PathDfaState, path_dfa_step
 from qds.words import words_up_to
+from tests.reference_trim import reference_path_dfa, reference_trim, reference_useful
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def small_corpus(three_state_dfa, trim_demo_qds, dead_lane_qds, two_lane_qds):
@@ -183,7 +199,7 @@ def test_shiftable_iff_traceable_from_compatible_starts(
     path-DFA traces the whole token word and ends with the obligation
     strictly discharged (v' a proper prefix of u')."""
     from qds import analyze_path
-    from qds.trim import _proper_prefix
+    from tests.reference_trim import _proper_prefix
 
     for s in small_corpus(three_state_dfa, trim_demo_qds, dead_lane_qds, two_lane_qds):
         for p1 in s.layers[0]:
@@ -265,8 +281,6 @@ def test_every_noninitial_trimmed_state_on_successful_path(
 
 
 def test_trim_random_built_structures():
-    from qds import accessible_part
-
     checked = 0
     for seed in range(40):
         a = accessible_part(random_nfa(seed, 1 + seed % 4, 1 + seed % 2, 0.3, 0.4))
@@ -282,3 +296,139 @@ def test_trim_random_built_structures():
             assert qds_membership(t, w).accepted == qds_membership(s, w).accepted
         checked += 1
     assert checked >= 10
+
+
+# --- the integer walk against the reference -------------------------------
+
+
+def built_corpus():
+    """Random NFAs built at their minimal (k,l), one window above it as
+    `compile` does, and at a larger l where the NFA allows it, so that
+    shifts exceed 1."""
+    for seed in range(300):
+        a = accessible_part(random_nfa(seed, 2 + seed % 5, 1 + seed % 3, 0.3, 0.4))
+        if not a.states or not 1 <= (exists_kl(a).k_min or 9) <= 4:
+            continue
+        k, l = find_minimal_kl(a)
+        yield build_qds(a, k, l)
+        yield build_qds(a, k + 1, l)
+        for kk, ll in ((k, k), (k + 1, k + 1)):
+            if ll > l and is_kl_unambiguous(a, kk, ll):
+                yield build_qds(a, kk, ll)
+
+
+def data_corpus():
+    """The structures under data/, and those the NFAs there compile to."""
+    for path in sorted(DATA.iterdir()):
+        obj = parse_automaton(path.read_text())
+        yield obj if isinstance(obj, Qds) else build_qds(obj, *find_minimal_kl(obj))
+
+
+def assert_walk_is_reference(s):
+    assert serialize_qds(trim_qds(s)) == serialize_qds(reference_trim(s))
+    assert compute_useful(s) == reference_useful(s)
+    pdfa, ref = build_path_dfa(s), reference_path_dfa(s)
+    assert tuple(pdfa.states) == ref.states and len(pdfa.states) == len(ref.states)
+    assert pdfa.initial == ref.initial and pdfa.finals == ref.finals
+    assert list(pdfa.transitions.items()) == list(ref.transitions.items())
+
+
+def test_trim_is_reference_on_built_structures():
+    shifts = set()
+    for s in built_corpus():
+        assert_walk_is_reference(s)
+        shifts |= {shift for target, shift in s.gamma.values() if target is not None}
+    assert max(shifts) >= 3
+
+
+def test_trim_is_reference_on_data():
+    for s in data_corpus():
+        assert_walk_is_reference(s)
+
+
+@st.composite
+def structures(draw):
+    """2-4 layers of 1-3 states over one or two symbols with a partial
+    delta; gamma targets are layer-1 states or bottom, shifts 1..m, the full
+    m included."""
+    m = draw(st.integers(2, 4))
+    alphabet = ("a", "b")[: draw(st.integers(1, 2))]
+    sizes = [draw(st.integers(1, 3)) for _ in range(m)]
+    names = iter(f"q{i}" for i in range(sum(sizes)))
+    layers = [tuple(next(names) for _ in range(size)) for size in sizes]
+    delta = {(p, x): draw(st.sampled_from(nxt))
+             for layer, nxt in zip(layers, layers[1:])
+             for p in layer for x in alphabet if draw(st.booleans())}
+    gamma = {p: (draw(st.sampled_from(layers[0] + (None,))), draw(st.integers(1, m)))
+             for p in layers[-1]}
+    finals = draw(st.sets(st.sampled_from(sum(layers, ()))))
+    return Qds(alphabet, layers, layers[0][0], finals, delta, gamma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures())
+def test_trim_is_reference_on_generated_structures(s):
+    assert_walk_is_reference(s)
+
+
+def test_integer_transitions_are_path_dfa_step():
+    """At every node, each of the |alphabet| + m tokens goes where
+    `path_dfa_step` says, the ones the walk does not try included."""
+    for s in [*data_corpus(), *built_corpus()]:
+        pdfa = build_path_dfa(s)
+        moves = pdfa.transitions
+        tokens = (*s.alphabet, *range(1, s.m + 1))
+        for p in pdfa.states:
+            for tok in tokens:
+                assert moves.get((p, tok)) == path_dfa_step(s, p, tok), (p, tok)
+
+
+@pytest.mark.parametrize("command", [["pathdfa"], ["pathdfa", "--dot"], ["trim", "--report"]])
+def test_cli_output_is_reference(tmp_path, monkeypatch, capsys, command):
+    """`qds pathdfa` and `qds trim --report` print the same bytes as with
+    the reference construction patched in."""
+    for i, s in enumerate(data_corpus()):
+        path = tmp_path / f"{i}.qds"
+        path.write_text(serialize_qds(s))
+        assert main(command + [str(path)]) == 0
+        got = capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(trim, "build_path_dfa", reference_path_dfa)
+            patch.setattr(trim, "compute_useful", reference_useful)
+            assert main(command + [str(path)]) == 0
+        assert capsys.readouterr() == got
+
+
+def test_path_dfa_built_once(tmp_path, monkeypatch, capsys, trim_demo_qds):
+    """`trim_qds` and `qds trim --report` build the path-DFA once, through
+    the module attribute a tracer wraps."""
+    calls = []
+    inner = trim.build_path_dfa
+    monkeypatch.setattr(trim, "build_path_dfa", lambda s: calls.append(s) or inner(s))
+    trim_qds(trim_demo_qds)
+    assert len(calls) == 1
+    path = tmp_path / "t.qds"
+    path.write_text(serialize_qds(trim_demo_qds))
+    assert main(["trim", "--report", str(path)]) == 0
+    assert len(calls) == 2
+    assert "finality\t5" in capsys.readouterr().err  # the report goes beside stdout
+
+
+def test_path_dfa_size_budget(tmp_path, monkeypatch, capsys, trim_demo_qds):
+    """Each path-DFA state counts m cells. The demo's path-DFA has 8 states
+    of m = 3, so a budget of 24 cells lets it through and 23 refuse it;
+    `trim` and `pathdfa` then exit 2 with one error line."""
+    path = tmp_path / "t.qds"
+    path.write_text(serialize_qds(trim_demo_qds))
+    monkeypatch.setattr(trim, "SIZE_BUDGET", 8 * 3)
+    assert len(build_path_dfa(trim_demo_qds).states) == 8
+    assert main(["pathdfa", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(trim, "SIZE_BUDGET", 8 * 3 - 1)
+    with pytest.raises(InputError, match=r"states\*m = 8\*3 cells is over the size budget 23"):
+        build_path_dfa(trim_demo_qds)
+    for command in (["trim"], ["trim", "--report"], ["pathdfa"]):
+        assert main(command + [str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "size budget" in err
+        assert err.count("\n") == 1
