@@ -35,7 +35,6 @@ from .nfa import (
 from .reduction import (
     LayeredPartition,
     equiv_fixpoint,
-    identity_partition,
     quotient,
     verify_right_invariant,
 )

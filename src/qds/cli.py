@@ -13,7 +13,7 @@ import sys
 
 from . import build, family, formats, kl, reduction, structure, trim
 from .errors import InputError, QdsError
-from .nfa import Dfa, Nfa, determinize, minimize_dfa
+from .nfa import Dfa, Nfa, determinize, minimize_dfa, subset_name
 from .structure import Qds
 from .words import word_str
 
@@ -164,7 +164,7 @@ def _cmd_reduce(args) -> int:
         for j, classes in enumerate(partition.layers, start=1):
             for cls in classes:
                 lines.append(
-                    f"{reduction.class_name(cls)}\t{j}\t{' '.join(sorted(cls))}"
+                    f"{subset_name(cls)}\t{j}\t{' '.join(sorted(cls))}"
                 )
         stream = sys.stdout if args.out not in (None, "-") else sys.stderr
         print("\n".join(lines), file=stream)

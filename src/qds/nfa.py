@@ -3,8 +3,9 @@ deterministic constructions (subset construction, minimization) the rest of
 the package uses as baselines and test oracles.
 
 Transition functions are partial: a missing (state, symbol) edge simply
-yields no successors. Completion with a sink happens only inside
-`minimize_dfa` and the sink never appears in returned automata.
+yields no successors. Nothing is completed with a sink: `refine`, the
+partition refinement behind `minimize_dfa` and `reduction.equiv_fixpoint`,
+reads a missing successor as bottom.
 """
 
 from __future__ import annotations
@@ -164,6 +165,38 @@ def closure(start: Iterable[Node], arcs: Iterable[tuple[Node, Node]]) -> set[Nod
     return seen
 
 
+def refine(
+    key: list, succ: list[list[int]], groups: list[range]
+) -> tuple[list[int], int]:
+    """Coarsest partition of states 0..n-1 stable under `succ` (-1 is
+    bottom), refined from the classes of `key`; returns (class per state,
+    passes).
+
+    Each pass re-splits `groups` in order: a state's signature is its key
+    plus the current class of each successor, -1 for bottom, and a class not
+    yet computed reads -1. A group therefore sees the classes earlier groups
+    got in the same pass. The routine stops at the first pass whose class
+    count equals the previous pass's, which, as every pass refines the one
+    before, is the first pass that changes nothing.
+    """
+    block = [-1] * (len(key) + 1)  # block[-1] stays -1: bottom reads -1
+    count, passes = -1, 0
+    while True:
+        passes += 1
+        total = 0
+        for group in groups:
+            # all signatures before any write: a state's successors may sit
+            # in its own group
+            sigs = [(key[q], *[block[t] for t in succ[q]]) for q in group]
+            ids: dict[tuple, int] = {}
+            for q, sig in zip(group, sigs):
+                block[q] = ids.setdefault(sig, total + len(ids))
+            total += len(ids)
+        if total == count:
+            return block[:-1], passes
+        count = total
+
+
 def accessible_states(a: Nfa) -> set[str]:
     return closure(a.initials, ((p, q) for p, _, q in a.transitions))
 
@@ -187,18 +220,31 @@ def subset_name(members: Iterable[str]) -> str:
     return "{" + ",".join(sorted(members)) + "}"
 
 
+def subset_names(sets: Iterable[frozenset[str]]) -> list[str]:
+    """`subset_name` of each of the distinct `sets`, in order. A state id may
+    contain a comma, so two sets can get one name; that is an InputError
+    naming both."""
+    owner: dict[str, frozenset[str]] = {}
+    for members in sets:
+        other = owner.setdefault(subset_name(members), members)
+        if other != members:
+            raise InputError(
+                f"state sets {sorted(other)} and {sorted(members)} "
+                f"are both named {subset_name(members)}"
+            )
+    return list(owner)
+
+
 def determinize(a: Nfa) -> Dfa:
     """Accessible part of the powerset automaton. Subset states carry
     canonical, order-independent names so results are reproducible. Each
     subset found counts |Q| cells; the construction is refused once the
     count passes SIZE_BUDGET."""
     start = frozenset(a.initials)
-    names: dict[frozenset[str], str] = {start: subset_name(start)}
     order = [start]
-    transitions: list[Transition] = []
-    frontier = [start]
-    while frontier:
-        current = frontier.pop(0)
+    index = {start: 0}
+    arcs: list[tuple[int, str, int]] = []
+    for i, current in enumerate(order):  # breadth first: `order` grows
         for sym in a.alphabet:
             nxt: set[str] = set()
             for q in current:
@@ -206,97 +252,60 @@ def determinize(a: Nfa) -> Dfa:
             if not nxt:
                 continue
             target = frozenset(nxt)
-            if target not in names:
+            if target not in index:
                 if (len(order) + 1) * len(a.states) > SIZE_BUDGET:
                     raise InputError(
                         f"subset construction subsets*|Q| = {len(order) + 1}*"
                         f"{len(a.states)} cells is over the size budget {SIZE_BUDGET}"
                     )
-                names[target] = subset_name(target)
+                index[target] = len(order)
                 order.append(target)
-                frontier.append(target)
-            transitions.append((names[current], sym, names[target]))
+            arcs.append((i, sym, index[target]))
+    names = subset_names(order)
     return Dfa(
         alphabet=a.alphabet,
-        states=tuple(names[s] for s in order),
-        initials=frozenset({names[start]}),
-        finals=frozenset(names[s] for s in order if s & a.finals),
-        transitions=tuple(transitions),
+        states=tuple(names),
+        initials=frozenset({names[0]}),
+        finals=frozenset(n for n, s in zip(names, order) if s & a.finals),
+        transitions=tuple((names[p], sym, names[q]) for p, sym, q in arcs),
     )
 
 
 def minimize_dfa(d: Dfa) -> Dfa:
     """Minimal DFA for L(d), up to isomorphism.
 
-    The input is completed with a sink internally; the sink (and any states
-    merged with it) is stripped from the result again unless it carries the
-    initial state, so reported sizes never count the completion sink.
-    Merged states are named after their least member.
+    `refine` splits the accessible, co-accessible states from their
+    finality; a missing or dead successor reads as bottom, so no sink is
+    added. Merged states are named after their least member, in the
+    declared order of their earliest one. A dead initial state leaves one
+    non-final state without transitions, named after the least accessible
+    state.
     """
     if not isinstance(d, Dfa):
         raise PreconditionError("minimize_dfa needs a deterministic automaton")
-    acc = accessible_part(d)
-    d = Dfa(acc.alphabet, acc.states, acc.initials, acc.finals, acc.transitions)
-
-    sink = "sink"
-    while sink in d.states:
-        sink += "!"
-    states = list(d.states) + [sink]
-    step: dict[tuple[str, str], str] = {(sink, a): sink for a in d.alphabet}
-    for q in d.states:
-        for a in d.alphabet:
-            succ = d._succ.get((q, a), frozenset())
-            step[(q, a)] = next(iter(succ)) if succ else sink
-
-    # Moore refinement from the finality split.
-    block = {q: (q in d.finals) for q in states}
-    while True:
-        sig = {
-            q: (block[q], tuple(block[step[(q, a)]] for a in d.alphabet))
-            for q in states
-        }
-        ids = {s: i for i, s in enumerate(sorted(set(sig.values()), key=repr))}
-        new_block = {q: ids[sig[q]] for q in states}
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
-
-    classes: dict[int, set[str]] = {}
-    for q in states:
-        classes.setdefault(block[q], set()).add(q)
-    sink_class = block[sink]
-
-    def class_name(cid: int) -> str:
-        members = classes[cid] - {sink}
-        return min(members)
-
-    keep = [
-        cid
-        for cid in classes
-        if cid != sink_class or d.initial in classes[cid]
-    ]
-    # order classes by the declared position of their earliest member
-    pos = {q: i for i, q in enumerate(d.states)}
-    keep.sort(key=lambda cid: min(pos[q] for q in classes[cid] - {sink}))
-
-    transitions = []
-    for cid in keep:
-        if cid == sink_class:
-            continue  # a dead initial keeps its state but no transitions
-        rep = class_name(cid)
-        for a in d.alphabet:
-            tgt = block[step[(rep, a)]]
-            if tgt in keep:
-                transitions.append((class_name(cid), a, class_name(tgt)))
+    acc = accessible_states(d)
+    live = d.state_order(acc & coaccessible_states(d))
+    index = {q: i for i, q in enumerate(live)}
+    if d.initial not in index:
+        dead = min(acc)
+        return Dfa(d.alphabet, (dead,), frozenset({dead}), frozenset(), ())
+    col = {a: j for j, a in enumerate(d.alphabet)}
+    succ = [[-1] * len(col) for _ in live]
+    arcs = [(index[p], a, index[q]) for p, a, q in d.transitions
+            if p in index and q in index]
+    for p, a, q in arcs:
+        succ[p][col[a]] = q
+    block, _ = refine([q in d.finals for q in live], succ, [range(len(live))])
+    members: dict[int, list[str]] = {}
+    for q, b in zip(live, block):  # classes in the order of their first member
+        members.setdefault(b, []).append(q)
+    name = {b: min(ms) for b, ms in members.items()}
     return Dfa(
         alphabet=d.alphabet,
-        states=tuple(class_name(cid) for cid in keep),
-        initials=frozenset({class_name(block[d.initial])}),
-        finals=frozenset(
-            class_name(cid) for cid in keep if classes[cid] & d.finals
-        ),
-        transitions=tuple(transitions),
+        states=tuple(name.values()),
+        initials=frozenset({name[block[index[d.initial]]]}),
+        finals=frozenset(name[block[index[q]]] for q in d.finals if q in index),
+        transitions=tuple({(name[block[p]], a, name[block[q]]) for p, a, q in arcs}),
     )
 
 

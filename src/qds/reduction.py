@@ -7,18 +7,19 @@ each step the top layer additionally requires gamma targets equivalent under
 the previous step's relation, and every inner layer requires all symbol
 successors equivalent under the same step's next-layer relation (bottom only
 matching bottom). Layer 1 is exempt from the finality comparison: a run can
-end inside layer 1 only at the initial state on the empty word.
+end inside layer 1 only at the initial state on the empty word. The chain
+is run by `nfa.refine` on `Qds.tables`, one group per layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import InputError, PreconditionError
+from .nfa import refine, subset_name, subset_names
 from .structure import GammaEntry, Qds
-
-_BOTTOM = "<bottom>"  # signature marker: an undefined successor/target
 
 
 @dataclass(frozen=True)
@@ -38,70 +39,38 @@ class LayeredPartition:
         return all(len(cls) == 1 for layer in self.layers for cls in layer)
 
 
-def _group(states: tuple[str, ...], sig) -> tuple[frozenset[str], ...]:
-    """Partition `states` by signature, classes ordered by first member."""
-    buckets: dict[object, list[str]] = {}
-    for q in states:
-        buckets.setdefault(sig(q), []).append(q)
-    # insertion order = order of each class's first member
-    return tuple(frozenset(ms) for ms in buckets.values())
-
-
-def _refine(s: Qds, prev: tuple[tuple[frozenset[str], ...], ...] | None):
-    """One step of the chain; `prev` is None for the base step, where gamma
-    targets are not yet compared."""
-    m = s.m
-    prev_layer1: dict[str, frozenset[str]] = {}
-    if prev is not None:
-        prev_layer1 = {q: cls for cls in prev[0] for q in cls}
-
-    new_layers: list[tuple[frozenset[str], ...]] = [()] * m
-
-    def top_sig(q: str):
-        target, shift = s.gamma[q]
-        parts: list[object] = [shift, q in s.finals]
-        if prev is not None:
-            parts.append(_BOTTOM if target is None else prev_layer1[target])
-        return tuple(parts)
-
-    new_layers[m - 1] = _group(s.layers[m - 1], top_sig)
-    for l in range(m - 1, 0, -1):  # 1-based layer l, filling index l-1
-        next_class = {q: cls for cls in new_layers[l] for q in cls}
-
-        def inner_sig(q: str, _nc=next_class, _l=l):
-            succ = tuple(
-                _nc[s.delta[(q, a)]] if (q, a) in s.delta else _BOTTOM
-                for a in s.alphabet
-            )
-            finality = (q in s.finals) if _l > 1 else None
-            return (succ, finality)
-
-        new_layers[l - 1] = _group(s.layers[l - 1], inner_sig)
-    return tuple(new_layers)
-
-
 def equiv_fixpoint(s: Qds) -> LayeredPartition:
     """The coarsest stationary relation of the refinement chain.
 
-    Stationarity is detected structurally (two equal consecutive
-    partitions), not assumed from the min-layer-size bound; the bound is an
-    invariant the tests check instead.
+    `refine` runs the chain with the top layer as the first group and
+    layers m-1 down to 1 after it. A top-layer state's key is its shift and
+    finality and its one successor the gamma target; an inner state's key is
+    its finality (none on layer 1) and its successors the delta row. On the
+    first pass layer 1 has no classes yet, so the top ignores gamma targets,
+    as the chain's base step does: `steps` is the passes after the first
+    that still split a class. Classes are ordered by first member.
     """
-    current = _refine(s, None)
-    steps = 0
-    while True:
-        nxt = _refine(s, current)
-        if nxt == current:
-            return LayeredPartition(layers=current, steps=steps)
-        current = nxt
-        steps += 1
-
-
-def identity_partition(s: Qds) -> LayeredPartition:
-    return LayeredPartition(
-        layers=tuple(tuple(frozenset({q}) for q in layer) for layer in s.layers),
-        steps=0,
-    )
+    t, m = s.tables, s.m
+    w = t.width
+    starts = [0, *accumulate(len(layer) for layer in s.layers)]
+    top = starts[m - 1]
+    # row offsets and -1 (bottom) both become state numbers by // w
+    succ = [[r // w for r in t.delta[i * w:(i + 1) * w]] for i in range(top)]
+    key: list[object] = [None] * starts[1]
+    key += [i * w in t.finals for i in range(starts[1], top)]
+    for i in range(top, starts[m]):
+        target, shift = t.gamma[i]
+        key.append((shift, i * w in t.finals))
+        succ.append([target // w])
+    groups = [range(starts[j], starts[j + 1]) for j in reversed(range(m))]
+    block, passes = refine(key, succ, groups)
+    layers = []
+    for layer, lo in zip(s.layers, starts):
+        classes: dict[int, list[str]] = {}
+        for i, q in enumerate(layer, lo):
+            classes.setdefault(block[i], []).append(q)
+        layers.append(tuple(frozenset(c) for c in classes.values()))
+    return LayeredPartition(layers=tuple(layers), steps=passes - 2)
 
 
 @dataclass(frozen=True)
@@ -145,10 +114,6 @@ def verify_right_invariant(s: Qds, p: LayeredPartition) -> RightInvariantResult:
     return RightInvariantResult(True, None)
 
 
-def class_name(cls: frozenset[str]) -> str:
-    return "{" + ",".join(sorted(cls)) + "}"
-
-
 def quotient(s: Qds, p: LayeredPartition) -> Qds:
     """Merge every class into one state.
 
@@ -166,10 +131,11 @@ def quotient(s: Qds, p: LayeredPartition) -> Qds:
             flags = {q in s.finals for q in cls}
             if len(flags) > 1:
                 raise PreconditionError(
-                    f"class {class_name(cls)} mixes final and non-final states"
+                    f"class {subset_name(cls)} mixes final and non-final states"
                 )
 
-    name = {q: class_name(cls) for cls in (c for layer in p.layers for c in layer) for q in cls}
+    classes = [cls for layer in p.layers for cls in layer]
+    name = {q: n for cls, n in zip(classes, subset_names(classes)) for q in cls}
     layers = tuple(
         tuple(dict.fromkeys(name[q] for q in layer)) for layer in s.layers
     )

@@ -183,6 +183,28 @@ def slack_pair_qds() -> Qds:
 
 
 @pytest.fixture
+def comma_name_qds() -> Qds:
+    """States 1 and 2 merge into the class named {1,2}, which is also the
+    name of the singleton class of the state `1,2`; the input accepts `aa`
+    and rejects `ca`."""
+    return Qds(
+        alphabet=("a", "b", "c"),
+        layers=(("0",), ("1", "2", "1,2"), ("3", "4")),
+        initial="0",
+        finals=frozenset({"3"}),
+        delta={
+            ("0", "a"): "1",
+            ("0", "b"): "2",
+            ("0", "c"): "1,2",
+            ("1", "a"): "3",
+            ("2", "a"): "3",
+            ("1,2", "a"): "4",
+        },
+        gamma={"3": (None, 1), "4": (None, 1)},
+    )
+
+
+@pytest.fixture
 def three_state_dfa() -> Dfa:
     return Dfa(
         alphabet=("a", "b"),

@@ -36,9 +36,9 @@ from qds import (
     verify_right_invariant,
 )
 from qds.family import lk_predicate
-from qds.reduction import _refine
 from qds.words import words_up_to
 from tests.reference_build import reference_build
+from tests.reference_reduction import _refine
 from tests.enumeration import scan_witness
 
 

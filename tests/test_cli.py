@@ -263,6 +263,15 @@ def test_reduce_cli(tmp_path, slack_pair_qds, capsys):
     assert "{2,4}\t2\t2 4" in captured.out
 
 
+def test_reduce_cli_refuses_colliding_class_names(tmp_path, comma_name_qds, capsys):
+    src = tmp_path / "c.qds"
+    src.write_text(serialize_qds(comma_name_qds))
+    assert main(["reduce", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "both named {1,2}" in captured.err
+
+
 def test_dfa2qds_and_minimize(tmp_path, three_state_dfa, capsys):
     src = tmp_path / "d.nfa"
     src.write_text(serialize_nfa(three_state_dfa))

@@ -15,6 +15,7 @@ from qds import (
 )
 from qds.words import words_up_to
 from tests.conftest import mk_nfa
+from tests.reference_reduction import reference_minimize
 
 
 def test_delta_word_fork(window4_nfa):
@@ -144,6 +145,39 @@ def test_minimize_distinguishes_right_languages():
             langs.append(lang)
         assert len(langs) == len(set(langs))
     assert checked >= 10
+
+
+def test_determinize_refuses_colliding_subset_names():
+    # {1,2} names both the subset of 1 and 2 and the singleton of `1,2`
+    a = mk_nfa("ab", ["0", "1", "2", "1,2"], ["0"], ["1"],
+               [("0", "a", "1"), ("0", "a", "2"), ("0", "b", "1,2")])
+    message = r"\['1', '2'\] and \['1,2'\] are both named \{1,2\}"
+    with pytest.raises(InputError, match=message):
+        determinize(a)
+
+
+def _renamed(d: Dfa, names) -> Dfa:
+    name = dict(zip(d.states, names))
+    return Dfa(d.alphabet, [name[q] for q in d.states],
+               {name[q] for q in d.initials}, {name[q] for q in d.finals},
+               [(name[p], x, name[q]) for p, x, q in d.transitions])
+
+
+def test_minimize_equals_reference():
+    """Names, state order and transitions match the sink-completed Moore
+    refinement, also where states are named like its sink."""
+    dead = sinks = 0
+    for seed in range(1200):
+        a = random_nfa(seed, 1 + seed % 7, 1 + seed % 3, (0.1, 0.25, 0.4)[seed % 3],
+                       (0.05, 0.2, 0.4)[seed // 3 % 3])
+        d = determinize(a)
+        if seed % 4 == 0:
+            d = _renamed(d, ["sink" + "!" * i for i in range(len(d.states))])
+            sinks += 1
+        want = reference_minimize(d)
+        assert minimize_dfa(d) == want, seed
+        dead += not want.finals
+    assert sinks == 300 and 50 <= dead <= 1000
 
 
 def test_random_nfa_reproducible():

@@ -10,16 +10,19 @@ from qds import (
     equiv_fixpoint,
     exists_kl,
     find_minimal_kl,
-    identity_partition,
+    gen_lk_nfa,
+    gen_sk_qds,
     minimize_dfa,
     prune_unreachable,
     qds_membership,
     quotient,
     random_nfa,
+    trim_qds,
     verify_right_invariant,
 )
 from qds.reduction import LayeredPartition
 from qds.words import words_up_to
+from tests.reference_reduction import _refine, identity_partition, reference_fixpoint
 
 
 def built_corpus(n_structures, kcap=3):
@@ -61,8 +64,6 @@ def test_fixpoint_on_minimal_dfa_embedding(three_state_dfa):
 
 
 def test_refinement_chain_properties():
-    from qds.reduction import _refine
-
     for s in built_corpus(25):
         min_layer = min(len(layer) for layer in s.layers)
         partition = equiv_fixpoint(s)
@@ -81,6 +82,34 @@ def test_refinement_chain_properties():
         for layer in partition.layers[1:]:
             for cls in layer:
                 assert len({q in s.finals for q in cls}) == 1
+
+
+def test_fixpoint_equals_reference_chain():
+    """Classes, their order and `steps` all match the chain on names."""
+    corpus = list(built_corpus(60))
+    corpus += [trim_qds(s) for s in corpus]
+    corpus += [gen_sk_qds(k) for k in range(7)]
+    corpus += [build_qds(gen_lk_nfa(k), k + 2, 1) for k in range(9)]
+    for s in corpus:
+        assert equiv_fixpoint(s) == reference_fixpoint(s)
+    assert max(reference_fixpoint(s).steps for s in corpus) >= 2
+
+
+def test_fixpoint_base_step_ignores_gamma_targets():
+    """The top-layer states 2 and 3 differ only in a bottom against a real
+    gamma target: the base step merges them and step 1 splits them."""
+    s = Qds(
+        alphabet=("a", "b"),
+        layers=(("1",), ("2", "3")),
+        initial="1",
+        finals=frozenset({"2", "3"}),
+        delta={("1", "a"): "2", ("1", "b"): "3"},
+        gamma={"2": ("1", 1), "3": (None, 1)},
+    )
+    assert _refine(s, None)[1] == (frozenset({"2", "3"}),)
+    p = equiv_fixpoint(s)
+    assert p == reference_fixpoint(s)
+    assert p.steps == 1 and p.is_identity
 
 
 # --- right invariance -------------------------------------------------------
@@ -183,6 +212,15 @@ def test_quotient_rejects_mixed_finality():
     )
     with pytest.raises(PreconditionError):
         quotient(s, mixed)
+
+
+def test_quotient_refuses_colliding_class_names(comma_name_qds):
+    s = comma_name_qds
+    assert qds_membership(s, "aa").accepted and not qds_membership(s, "ca").accepted
+    p = equiv_fixpoint(s)
+    assert frozenset({"1", "2"}) in p.layers[1] and frozenset({"1,2"}) in p.layers[1]
+    with pytest.raises(InputError, match=r"both named \{1,2\}"):
+        quotient(s, p)
 
 
 def test_quotient_preserves_membership_on_corpus():
