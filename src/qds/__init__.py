@@ -40,12 +40,8 @@ from .reduction import (
 )
 from .structure import (
     MembershipResult,
-    PathAnalysis,
     Qds,
-    QdsEdge,
     RunTrace,
-    analyze_path,
-    extended_delta,
     lint_qds,
     qds_membership,
     qds_stats,

@@ -1,14 +1,17 @@
 """Compilers into quasi-deterministic structures: the window-table
-construction from a (k,l)-unambiguous NFA (its reachable part),
-reachability pruning, and the width-1 embedding of a DFA."""
+construction from a (k,l)-unambiguous NFA (its reachable part, built with
+its integer tables), reachability pruning on those tables, and the width-1
+embedding of a DFA."""
 
 from __future__ import annotations
 
+from itertools import accumulate, product
+
 from . import kernels
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .kl import StepTable, step_table
 from .nfa import Dfa, Nfa, closure
-from .structure import GammaEntry, Qds, restrict_qds
+from .structure import Qds, QdsTables, _trusted_qds, restrict_qds
 from .words import Word, word_str, words_of_length
 
 
@@ -31,6 +34,11 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
     window) row. With R the source states the state count is
     |R| * (|alphabet|^(k+1)-1)/(|alphabet|-1), and the result equals
     `prune_unreachable` of the construction over every state.
+
+    The tables come out by arithmetic: pair (q, w) of layer j sits at
+    number starts[j] + i*|alphabet|^j + rank(w) for q the i-th source, so
+    delta slot x (state x // |alphabet|, symbol x % |alphabet|) leads to
+    state x + |R|. Two pairs with the same printed name are an InputError.
     """
     if table is None:
         table = step_table(a, k, l)  # raises with a witness row if ambiguous
@@ -41,54 +49,78 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
     arcs = [(q, e.successor) for (q, _), e in table.entries.items()
             if e.successor is not None]
     sources = a.state_order(closure({initial}, arcs))
+    source_ix = {q: i for i, q in enumerate(sources)}
     ix = {q: i for i, q in enumerate(a.states)}
     final_mask = sum(1 << ix[q] for q in a.finals)
     succ, _ = kernels.masks(a)
-    spelled = [[word_str(w) for w in words_of_length(a.alphabet, j)]
+    spell = "".join if all(len(x) == 1 for x in a.alphabet) else word_str
+    spelled = [[spell(w) or "_" for w in words_of_length(a.alphabet, j)]  # = word_str(w)
                for j in range(k + 1)]
-    windows = list(words_of_length(a.alphabet, k))
+    names = [f"{q}|{w}" for level in spelled for q in sources for w in level]  # pair_name
+    if len(set(names)) < len(names):
+        _refuse_colliding_names(a, k, sources, names)
+    sizes = [len(sources) * len(level) for level in spelled]
+    while len(sizes) > 2 and not sizes[-1]:  # an empty alphabet reads no window
+        sizes.pop()
+    starts = [0, *accumulate(sizes)]
+    width, top = max(len(a.alphabet), 1), starts[-2]
+    finals = [starts[j] + i * len(level) + x
+              for i, q in enumerate(sources)
+              for j, level in enumerate(kernels.fronts(succ, 1 << ix[q], k))
+              for x, f in enumerate(level) if f & final_mask]
+    entries = [table.entries[q, w] for q in sources for w in words_of_length(a.alphabet, k)]
+    targets = [None if e.successor is None else source_ix[e.successor] for e in entries]
+    delta = [r * width for r in range(len(sources), starts[-1])]
+    delta += [-1] * (starts[-1] * width - len(delta))
+    tables = QdsTables(
+        {x: c for c, x in enumerate(a.alphabet)}, width, source_ix[initial] * width,
+        delta,
+        [None] * top + [(-1 if r is None else r * width, e.index)
+                        for r, e in zip(targets, entries)],
+        frozenset(i * width for i in finals))
+    return _trusted_qds(
+        a.alphabet,
+        tuple(tuple(names[lo:hi]) for lo, hi in zip(starts, starts[1:])),
+        names[source_ix[initial]],
+        frozenset(names[i] for i in finals),
+        dict(zip(product(names[:top], a.alphabet), names[len(sources):])),
+        {p: (None if r is None else names[r], e.index)
+         for p, r, e in zip(names[top:], targets, entries)},
+        tables)
 
-    layers: list[list[str]] = [[] for _ in range(k + 1)]
-    finals: list[str] = []
-    delta: dict[tuple[str, str], str] = {}
-    gamma: dict[str, GammaEntry] = {}
-    for q in sources:
-        names = [[f"{q}|{w}" for w in level] for level in spelled]  # pair_name
-        reached = kernels.fronts(succ, 1 << ix[q], k)
-        for j, level in enumerate(names):
-            layers[j] += level
-            finals += [p for p, f in zip(level, reached[j]) if f & final_mask]
-            if j < k:
-                edges = ((p, x) for p in level for x in a.alphabet)
-                delta.update(zip(edges, names[j + 1]))
-        for p, w in zip(names[k], windows):
-            entry = table.entries[q, w]
-            target = None if entry.successor is None else pair_name(entry.successor, ())
-            gamma[p] = (target, entry.index)
-    while len(layers) > 2 and not layers[-1]:  # an empty alphabet reads no window
-        layers.pop()
-    return Qds(
-        alphabet=a.alphabet,
-        layers=tuple(tuple(layer) for layer in layers),
-        initial=pair_name(initial, ()),
-        finals=frozenset(finals),
-        delta=delta,
-        gamma=gamma,
-    )
+
+def _refuse_colliding_names(a: Nfa, k: int, sources: list[str], names: list[str]) -> None:
+    pairs = [(q, w) for j in range(k + 1) for q in sources
+             for w in words_of_length(a.alphabet, j)]
+    owner: dict[str, tuple[str, Word]] = {}
+    for name, pair in zip(names, pairs):
+        other = owner.setdefault(name, pair)
+        if other != pair:
+            raise InputError(f"pairs {other} and {pair} are both named {name}")
 
 
 def prune_unreachable(s: Qds) -> Qds:
     """Restrict to states reachable from the initial along delta edges and
-    non-bottom gamma targets; trailing layers left empty are dropped (a
-    fresh top layer gets all-bottom gamma). Language unchanged. The identity
-    on what `build_qds` returns; it is for parsed structures."""
-    arcs = [(p, q) for (p, _), q in s.delta.items()]
-    arcs += [(p, t) for p, (t, _) in s.gamma.items() if t is not None]
-    keep = closure({s.initial}, arcs)
-    if len(keep) == len(s.states) and s.layers[-1]:
-        return s  # nothing to drop, as on every structure `build_qds` returns
-    delta = {(p, x): q for (p, x), q in s.delta.items() if p in keep}
-    return restrict_qds(s, keep, delta, s.gamma, s.finals & keep)
+    non-bottom gamma targets, found breadth first on `Qds.tables`; trailing
+    layers left empty are dropped (a fresh top layer gets all-bottom gamma).
+    Language unchanged. Returns `s` itself when nothing is dropped, as on
+    every structure `build_qds` returns; it is for parsed structures."""
+    t = s.tables
+    w, n, delta, gamma = t.width, len(s.states), t.delta, t.gamma
+    seen = bytearray(n * w + 1)  # by row offset; seen[-1] stands for bottom
+    seen[-1] = seen[t.initial] = 1
+    found = [t.initial]
+    for r in found:  # the list grows behind the cursor
+        g = gamma[r // w]
+        for q in (delta[r:r + w] if g is None else (g[0],)):
+            if not seen[q]:
+                seen[q] = 1
+                found.append(q)
+    keep = seen[:n * w:w]
+    if all(keep) and s.layers[-1]:
+        return s
+    return restrict_qds(s, keep, [keep[x // w] for x in range(n * w)], keep,
+                        [i * w in t.finals for i in range(n)])
 
 
 def dfa_to_qds(d: Nfa) -> Qds:

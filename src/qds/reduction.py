@@ -8,7 +8,9 @@ the previous step's relation, and every inner layer requires all symbol
 successors equivalent under the same step's next-layer relation (bottom only
 matching bottom). Layer 1 is exempt from the finality comparison: a run can
 end inside layer 1 only at the initial state on the empty word. The chain
-is run by `nfa.refine` on `Qds.tables`, one group per layer.
+is run by `nfa.refine` on `Qds.tables`, one group per layer. The
+right-invariance check and the quotient read the same tables through one
+class number per state.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import accumulate
 
 from .errors import InputError, PreconditionError
 from .nfa import refine, subset_name, subset_names
-from .structure import GammaEntry, Qds
+from .structure import GammaEntry, Qds, QdsTables, _trusted_qds
 
 
 @dataclass(frozen=True)
@@ -85,33 +87,42 @@ class RightInvariantResult:
 def verify_right_invariant(s: Qds, p: LayeredPartition) -> RightInvariantResult:
     """Check both closure conditions: delta successors stay equivalent
     (bottom only matching bottom), and top-layer classmates share a shift
-    length with equivalent targets."""
+    length with equivalent targets. The counterexample is the first one met
+    with classes in order, each compared to its least member, the others in
+    sorted order and symbols in alphabet order."""
+    return _class_rows(s, p)[0]
+
+
+def _class_rows(s: Qds, p: LayeredPartition):
+    """(verdict, classes in order, number of each class's least member,
+    class number per state with -1 at index -1 for bottom), on `Qds.tables`."""
     if len(p.layers) != s.m:
         raise InputError("partition layer count does not match the structure")
     for j, (classes, layer) in enumerate(zip(p.layers, s.layers)):
         members = set().union(*classes) if classes else set()
         if members != set(layer):
             raise InputError(f"partition does not cover layer {j + 1} exactly")
-
-    def same(a: str | None, b: str | None) -> bool:
-        if a is None or b is None:
-            return a is b
-        return p.class_of[a] == p.class_of[b]
-
-    for j, classes in enumerate(p.layers, start=1):
-        for cls in classes:
-            rep = min(cls)
-            for q in sorted(cls - {rep}):
-                if j == s.m:
-                    t1, l1 = s.gamma[rep]
-                    t2, l2 = s.gamma[q]
-                    if l1 != l2 or not same(t1, t2):
-                        return RightInvariantResult(False, (rep, q, l2))
-                else:
-                    for a in s.alphabet:
-                        if not same(s.delta.get((rep, a)), s.delta.get((q, a))):
-                            return RightInvariantResult(False, (rep, q, a))
-    return RightInvariantResult(True, None)
+    t, ix = s.tables, {q: i for i, q in enumerate(s.states)}
+    w, top = t.width, len(ix) - len(s.layers[-1])
+    classes = [cls for layer in p.layers for cls in layer]
+    cid = [-1] * (len(ix) + 1)
+    for c, cls in enumerate(classes):
+        for q in cls:
+            cid[ix[q]] = c
+    # a state's row: its successors' classes, or (shift, target class) on top
+    rows: list[object] = [[cid[r // w] for r in t.delta[i * w:i * w + w]] for i in range(top)]
+    rows += [(shift, cid[target // w]) for target, shift in t.gamma[top:]]
+    reps = [ix[min(cls)] for cls in classes]
+    for cls, r in zip(classes, reps):
+        want = rows[r]
+        odd = [q for q in cls if rows[ix[q]] != want]
+        if odd:
+            q = min(odd)
+            got = rows[ix[q]]
+            tag = got[0] if r >= top else s.alphabet[
+                next(c for c, (x, y) in enumerate(zip(want, got)) if x != y)]
+            return RightInvariantResult(False, (s.states[r], q, tag)), classes, reps, cid
+    return RightInvariantResult(True, None), classes, reps, cid
 
 
 def quotient(s: Qds, p: LayeredPartition) -> Qds:
@@ -119,52 +130,49 @@ def quotient(s: Qds, p: LayeredPartition) -> Qds:
 
     Requires right invariance and, on layers 2 and up, classes pure in
     finality. Finals of the quotient: every non-layer-1 class meeting the
-    finals, plus the initial's class iff the initial itself is final.
+    finals, plus the initial's class iff the initial itself is final. Each
+    class's rows are its least member's, read off `Qds.tables`; the result
+    carries its tables.
     """
-    check = verify_right_invariant(s, p)
+    check, classes, reps, cid = _class_rows(s, p)
     if not check:
         raise PreconditionError(
             f"partition is not right invariant, witness {check.counterexample}"
         )
-    for classes in p.layers[1:]:
-        for cls in classes:
-            flags = {q in s.finals for q in cls}
-            if len(flags) > 1:
-                raise PreconditionError(
-                    f"class {subset_name(cls)} mixes final and non-final states"
-                )
-
-    classes = [cls for layer in p.layers for cls in layer]
-    name = {q: n for cls, n in zip(classes, subset_names(classes)) for q in cls}
-    layers = tuple(
-        tuple(dict.fromkeys(name[q] for q in layer)) for layer in s.layers
-    )
-    delta: dict[tuple[str, str], str] = {}
-    for classes in p.layers[:-1]:
-        for cls in classes:
-            rep = min(cls)
-            for a in s.alphabet:
-                tgt = s.delta.get((rep, a))
-                if tgt is not None:
-                    delta[(name[rep], a)] = name[tgt]
-    gamma: dict[str, GammaEntry] = {}
-    for cls in p.layers[-1]:
-        rep = min(cls)
-        target, shift = s.gamma[rep]
-        gamma[name[rep]] = (None if target is None else name[target], shift)
-    finals = {
-        name[q]
-        for layer in s.layers[1:]
-        for q in layer
-        if q in s.finals
-    }
-    if s.initial in s.finals:
-        finals.add(name[s.initial])
-    return Qds(
-        alphabet=s.alphabet,
-        layers=layers,
-        initial=name[s.initial],
-        finals=frozenset(finals),
-        delta=delta,
-        gamma=gamma,
-    )
+    for cls in classes[len(p.layers[0]):]:
+        if not (cls <= s.finals or cls.isdisjoint(s.finals)):
+            raise PreconditionError(
+                f"class {subset_name(cls)} mixes final and non-final states"
+            )
+    t, sym, names = s.tables, s.alphabet, subset_names(classes)
+    w, top = t.width, len(s.states) - len(s.layers[-1])
+    layers, order, lo = [], [], 0
+    for layer in s.layers:  # each layer's classes by first member
+        here = list(dict.fromkeys(cid[lo:lo + len(layer)]))
+        layers.append(tuple(names[c] for c in here))
+        order += here
+        lo += len(layer)
+    new = [-1] * (len(classes) + 1)  # class -> row offset; new[-1] is bottom
+    for i, c in enumerate(order):
+        new[c] = i * w
+    start = cid[t.initial // w]
+    delta, gamma = [-1] * (len(order) * w), [None] * len(order)
+    named_delta: dict[tuple[str, str], str] = {}
+    named_gamma: dict[str, GammaEntry] = {}
+    finals = []
+    for c in order:
+        r = reps[c]
+        if r >= top:
+            target, shift = t.gamma[r]
+            gamma[new[c] // w] = (new[cid[target // w]], shift)
+            named_gamma[names[c]] = (None if target < 0 else names[cid[target // w]], shift)
+        for x, q in enumerate(t.delta[r * w:r * w + len(sym)]):
+            if q >= 0:
+                delta[new[c] + x] = new[cid[q // w]]
+                named_delta[names[c], sym[x]] = names[cid[q // w]]
+        if (r * w in t.finals if r >= len(s.layers[0]) else c == start and t.initial in t.finals):
+            finals.append(c)
+    return _trusted_qds(
+        sym, tuple(layers), names[start], frozenset(names[c] for c in finals),
+        named_delta, named_gamma,
+        QdsTables(t.code, w, new[start], delta, gamma, frozenset(new[c] for c in finals)))

@@ -5,15 +5,25 @@ The structure has m layers; the window width is m-1. A delta edge advances
 exactly one layer; gamma maps every top-layer state to a layer-one target
 (or bottom) together with a shift length in 1..m. Recognition slides the
 window along the input, re-reading the overlap after each shift.
+
+`Qds(...)`, and so `parse_qds` and every hand-made structure, checks every
+invariant in `__post_init__`. The compile stages (`build_qds`, the integer
+`restrict_qds` behind prune and trim, and `quotient`) build their output
+through `_trusted_qds` instead: every name, layer and edge they emit comes
+from a structure or automaton that was already checked, each construction
+keeps the invariants by its arithmetic, and they hand over the integer
+tables they computed. The one invariant the build's arithmetic does not
+give, distinct pair names, it checks itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Container, Iterable, Mapping, NamedTuple
+from itertools import chain, compress
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .words import Word, as_word, check_token, word_str
 
 GammaEntry = tuple[str | None, int]  # (target or bottom, shift)
@@ -52,6 +62,8 @@ class Qds:
         object.__setattr__(self, "gamma", dict(self.gamma))
         if len(self.layers) < 2:
             raise InputError("a QDS needs at least two layers")
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise InputError("duplicate alphabet symbols")
         for tok in self.alphabet:
             check_token(tok, "symbol token")
         seen: set[str] = set()
@@ -95,7 +107,7 @@ class Qds:
 
     @cached_property
     def states(self) -> tuple[str, ...]:
-        return tuple(q for layer in self.layers for q in layer)
+        return tuple(chain.from_iterable(self.layers))
 
     @cached_property
     def layer_of(self) -> dict[str, int]:
@@ -117,63 +129,59 @@ class Qds:
         return QdsTables(code, width, row[self.initial], delta, gamma,
                          frozenset(row[q] for q in self.finals))
 
-    def step(self, state: str | None, symbol: str) -> str | None:
-        """Bottom-absorbing one-symbol delta (bottom on top-layer states)."""
-        if symbol not in self.alphabet:
-            raise InputError(f"unknown symbol {symbol!r}")
-        if state is None:
-            return None
-        return self.delta.get((state, symbol))
 
-    def chain(self, state: str | None, w: Iterable[str]) -> str | None:
-        """Bottom-absorbing delta over a word of length <= window."""
-        for sym in as_word(w):
-            state = self.step(state, sym)
-        return state
+def _trusted_qds(alphabet, layers, initial, finals, delta, gamma,
+                 tables: QdsTables | None = None) -> Qds:
+    """A `Qds` from fields already in their stored types and already known to
+    meet every invariant: `__post_init__` does not run. With `tables`, the
+    cached `Qds.tables` starts filled. Only the compile stages call it."""
+    s = object.__new__(Qds)
+    vars(s).update(alphabet=alphabet, layers=layers, initial=initial,
+                   finals=finals, delta=delta, gamma=gamma)
+    if tables is not None:
+        vars(s)["tables"] = tables
+    return s
 
 
-def restrict_qds(
-    s: Qds,
-    keep: Container[str],
-    delta: Mapping[tuple[str, str], str],
-    gamma: Mapping[str, GammaEntry],
-    finals: Iterable[str],
-) -> Qds:
-    """`s` cut down to the states in `keep`, with the given delta, gamma and
-    finals. Trailing layers left empty are dropped (keeping at least two); a
-    top-layer state missing from `gamma` gets a bottom target and shift 1."""
-    layers = [tuple(q for q in layer if q in keep) for layer in s.layers]
+def restrict_qds(s: Qds, keep, delta_used, gamma_used, final) -> Qds:
+    """`s` cut down on its tables: the states marked in `keep` and
+    `final` (by state number), the delta edges marked in `delta_used` (by
+    slot) and the gamma entries marked in `gamma_used`. Every marked edge
+    must run between kept states. Kept states are renumbered in layer order;
+    trailing layers left empty are dropped (keeping at least two), and a
+    top-layer state whose gamma entry is unmarked gets a bottom target and
+    shift 1. The result carries its tables."""
+    t, names, sym = s.tables, s.states, s.alphabet
+    w = t.width
+    layers, lo = [], 0
+    for layer in s.layers:
+        layers.append(tuple(compress(layer, keep[lo:lo + len(layer)])))
+        lo += len(layer)
     while len(layers) > 2 and not layers[-1]:
         layers.pop()
-    return Qds(
-        alphabet=s.alphabet,
-        layers=tuple(layers),
-        initial=s.initial,
-        finals=frozenset(finals),
-        delta=delta,
-        gamma={p: gamma.get(p, (None, 1)) for p in layers[-1]},
-    )
-
-
-@dataclass(frozen=True)
-class QdsEdge:
-    """One edge of a QDS: the label is a symbol for delta edges and the
-    shift length (an int) for gamma edges."""
-
-    src: str
-    label: str | int
-    dst: str
-
-    @property
-    def is_shift(self) -> bool:
-        return isinstance(self.label, int)
-
-
-@dataclass(frozen=True)
-class PathAnalysis:
-    shiftable: bool
-    successful: bool
-    label: Word | None  # defined only when shiftable
+    kept = list(compress(range(len(names)), keep))
+    row = [-1] * (len(names) + 1)  # old state -> new row offset; row[-1] is bottom
+    for i, old in enumerate(kept):
+        row[old] = i * w
+    delta, named_delta = [-1] * (len(kept) * w), {}
+    for x in compress(range(len(t.delta)), delta_used):
+        if t.delta[x] >= 0:
+            p, c = divmod(x, w)
+            delta[row[p] + c] = row[t.delta[x] // w]
+            named_delta[names[p], sym[c]] = names[t.delta[x] // w]
+    gamma: list[tuple[int, int] | None] = [None] * len(kept)
+    named_gamma: dict[str, GammaEntry] = {}
+    for i in range(len(kept) - len(layers[-1]), len(kept)):
+        g = t.gamma[kept[i]]
+        target, shift = g if g is not None and gamma_used[kept[i]] else (-1, 1)
+        gamma[i] = (row[target // w], shift)
+        named_gamma[names[kept[i]]] = (names[target // w] if target >= 0 else None, shift)
+    finals = [i for i in kept if final[i]]
+    return _trusted_qds(
+        sym, tuple(layers), s.initial, frozenset(names[i] for i in finals),
+        named_delta, named_gamma,
+        QdsTables(t.code, w, row[t.initial // w], delta, gamma,
+                  frozenset(row[i] for i in finals)))
 
 
 @dataclass(frozen=True)
@@ -197,29 +205,6 @@ class MembershipResult:
     shifts: int
     reads: int
     trace: RunTrace | None = field(default=None, compare=False)
-
-
-def extended_delta(s: Qds, q: str, w: Iterable[str]) -> str | None:
-    """The extended transition function, straight from its recursive
-    definition but run as a loop over windows.
-
-    A word no longer than the window runs through delta alone; a longer one
-    consults gamma on the image of its first window and continues from the
-    target on the shifted rest. It reads the string-keyed maps through
-    `Qds.chain`, never `Qds.tables`, so it stays an independent oracle for
-    `qds_membership`; the two must agree.
-    """
-    if s.layer_of.get(q) != 1:
-        raise PreconditionError(f"state {q!r} is not a layer-1 state")
-    w = as_word(w)
-    start = 0
-    while len(w) - start > s.window:
-        top = s.chain(q, w[start:start + s.window])
-        target, shift = s.gamma[top] if top is not None else (None, 1)
-        if target is None:
-            return None
-        q, start = target, start + shift
-    return s.chain(q, w[start:])
 
 
 def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> MembershipResult:
@@ -269,76 +254,6 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
         reads=reads,
         trace=RunTrace(tuple(steps), name) if want_trace else None,
     )
-
-
-def _validate_edges(s: Qds, edges: tuple[QdsEdge, ...]) -> None:
-    for i, e in enumerate(edges):
-        if e.is_shift:
-            entry = s.gamma.get(e.src)
-            if entry is None or entry != (e.dst, e.label):
-                raise InputError(f"not a gamma edge of this structure: {e}")
-        else:
-            if s.delta.get((e.src, e.label)) != e.dst:
-                raise InputError(f"not a delta edge of this structure: {e}")
-        if i > 0 and edges[i - 1].dst != e.src:
-            raise InputError(
-                f"edges {i-1} and {i} do not connect ({edges[i-1].dst} vs {e.src})"
-            )
-
-
-def analyze_path(s: Qds, edges: Iterable[QdsEdge], start: str | None = None) -> PathAnalysis:
-    """Classify an edge sequence as shiftable / successful and compute its
-    label (the input word the path consumes, overlap symbols counted once).
-
-    Every shift edge must have enough preceding symbols, enough following
-    edges, and a matching overlap. The empty path (anchored by `start`) is
-    shiftable by convention.
-    """
-    edges = tuple(edges)
-    if not edges:
-        if start is None:
-            raise InputError("empty path needs an anchor state")
-        if start not in s.layer_of:
-            raise InputError(f"unknown state {start!r}")
-        return PathAnalysis(
-            shiftable=True,
-            successful=start == s.initial and start in s.finals,
-            label=(),
-        )
-    _validate_edges(s, edges)
-    n = len(edges)
-    m = s.m
-    labels = [e.label for e in edges]
-    shiftable = True
-    for j in range(1, n + 1):  # 1-based edge positions, as in the definitions
-        e = edges[j - 1]
-        if not e.is_shift:
-            continue
-        l = e.label
-        if not (m - 1 - l < j and j + m - l <= n):
-            shiftable = False
-            break
-        before = labels[j - m + l: j - 1]      # x_{j-m+l+1} .. x_{j-1}
-        after = labels[j: j + m - l - 1]       # x_{j+1} .. x_{j+m-l-1}
-        if before != after:
-            shiftable = False
-            break
-    label: Word | None = None
-    if shiftable:
-        masked = [False] * (n + 1)
-        for j in range(1, n + 1):
-            e = edges[j - 1]
-            if e.is_shift:
-                masked[j] = True  # shift tokens never reach the label
-                for t in range(j, min(j + m - 1 - e.label, n) + 1):
-                    masked[t] = True
-        label = tuple(
-            labels[t - 1] for t in range(1, n + 1) if not masked[t]
-        )
-    successful = (
-        shiftable and edges[0].src == s.initial and edges[-1].dst in s.finals
-    )
-    return PathAnalysis(shiftable=shiftable, successful=successful, label=label)
 
 
 @dataclass(frozen=True)

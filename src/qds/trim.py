@@ -11,8 +11,10 @@ part of this DFA.
 The walk runs on `Qds.tables` with nodes (row offset, u codes, v codes) and
 tries only the tokens that can fire: a top-layer node its gamma shift, an
 inner node the column v[|u|] while v is unpaid, else every delta column.
-Names return only when the useful parts are lifted; `path_dfa_step`
-restates one step off the definition, as the tests' oracle.
+The useful parts come back as marks on the tables, which `restrict_qds`
+cuts the structure down with; names return only in `compute_useful`'s
+report. `path_dfa_step` restates one step off the definition, as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -166,10 +168,11 @@ class UsefulReport:
     useful_finalities: frozenset[str]
 
 
-def compute_useful(s: Qds) -> UsefulReport:
-    """Lift usefulness from the path-DFA: a path-DFA state is useful iff it
-    is accessible and coaccessible; states, edges and finalities of the QDS
-    are useful iff some useful instance witnesses them."""
+def _useful_marks(s: Qds) -> tuple[bytearray, bytearray, bytearray, bytearray]:
+    """(useful states, useful delta slots, useful gamma entries, useful
+    finalities) of `s` as marks on its tables, for `restrict_qds`: a
+    path-DFA node is useful iff it is accessible and coaccessible, and a
+    state, edge or finality iff some useful node witnesses it."""
     pdfa = build_path_dfa(s)
     nodes, t = pdfa.nodes, s.tables
     width = t.width
@@ -195,34 +198,49 @@ def compute_useful(s: Qds) -> UsefulReport:
             if not useful[p]:
                 useful[p] = 1
                 stack.append(p)
-    names, sym = s.states, s.alphabet
-    finalities = {names[nodes[i][0] // width] for i in pdfa.final_ids}
-    if s.initial in s.finals:
-        finalities.add(s.initial)  # the empty path is successful
+    keep, final = bytearray(len(t.gamma)), bytearray(len(t.gamma))
+    keep[t.initial // width] = 1
+    for i in compress(range(len(nodes)), useful):
+        keep[nodes[i][0] // width] = 1
+    for i in pdfa.final_ids:
+        final[nodes[i][0] // width] = 1
+    if t.initial in t.finals:
+        final[t.initial // width] = 1  # the empty path is successful
+    return keep, delta_used, gamma_used, final
+
+
+def compute_useful(s: Qds) -> UsefulReport:
+    """Usefulness read off the path-DFA, lifted to names."""
+    keep, delta_used, gamma_used, final = _useful_marks(s)
+    names, sym, t = s.states, s.alphabet, s.tables
+    width = t.width
     return UsefulReport(
-        useful_states=frozenset(
-            {names[nodes[i][0] // width] for i in compress(range(len(nodes)), useful)}
-            | {s.initial}),
+        useful_states=frozenset(compress(names, keep)),
         useful_delta=frozenset(
             (names[x // width], sym[x % width], names[t.delta[x] // width])
             for x in compress(range(len(delta_used)), delta_used)),
         useful_gamma=frozenset(
             (names[i], t.gamma[i][1], names[t.gamma[i][0] // width])
             for i in compress(range(len(gamma_used)), gamma_used)),
-        useful_finalities=frozenset(finalities),
+        useful_finalities=frozenset(compress(names, final)),
     )
 
 
 def trim_qds(s: Qds, report: UsefulReport | None = None) -> Qds:
     """Keep only useful states, transitions and finalities (`report`, or
-    `compute_useful(s)`); language unchanged, idempotent. Gamma entries whose
-    edge is useless collapse to bottom; trailing layers left empty are
-    dropped (keeping at least two)."""
-    report = report or compute_useful(s)
-    return restrict_qds(
-        s,
-        report.useful_states,
-        {(p, x): q for p, x, q in report.useful_delta},
-        {p: (q, l) for p, l, q in report.useful_gamma},
-        report.useful_finalities,
-    )
+    the path-DFA's marks when none is given); language unchanged,
+    idempotent. Gamma entries whose edge is useless collapse to bottom;
+    trailing layers left empty are dropped (keeping at least two). The
+    result is restricted on the tables and carries its own."""
+    if report is None:
+        return restrict_qds(s, *_useful_marks(s))
+    t, ix = s.tables, {q: i for i, q in enumerate(s.states)}
+    keep, final, gamma_used = (bytearray(len(ix)) for _ in range(3))
+    delta_used = bytearray(len(t.delta))
+    for marks, states in ((keep, report.useful_states), (final, report.useful_finalities),
+                          (gamma_used, (p for p, _, _ in report.useful_gamma))):
+        for q in states:
+            marks[ix[q]] = 1
+    for p, x, _ in report.useful_delta:
+        delta_used[ix[p] * t.width + t.code[x]] = 1
+    return restrict_qds(s, keep, delta_used, gamma_used, final)

@@ -4,14 +4,20 @@ The library builds only the part of the QDS reachable from the initial pair.
 This is the construction straight off the paper, with a pair (q, w) for
 every state q and every word w of length at most k, unreachable pairs
 included; `prune_unreachable` of it is what `build_qds` must return.
+
+`restrict_qds` and `prune_unreachable` are the name-keyed restriction and
+reachability pruning, the oracles for the library's versions on
+`Qds.tables`: both must give equal structures and serialisations.
 """
 
 from __future__ import annotations
 
 from qds.build import pair_name
+from typing import Container, Iterable, Mapping
+
 from qds.errors import PreconditionError
 from qds.kl import StepTable, step_table
-from qds.nfa import Nfa, delta_word
+from qds.nfa import Nfa, closure, delta_word
 from qds.structure import GammaEntry, Qds
 from qds.words import Word, words_of_length
 
@@ -66,3 +72,40 @@ def reference_build(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Q
         delta=delta,
         gamma=gamma,
     )
+
+
+def restrict_qds(
+    s: Qds,
+    keep: Container[str],
+    delta: Mapping[tuple[str, str], str],
+    gamma: Mapping[str, GammaEntry],
+    finals: Iterable[str],
+) -> Qds:
+    """`s` cut down to the states in `keep`, with the given delta, gamma and
+    finals. Trailing layers left empty are dropped (keeping at least two); a
+    top-layer state missing from `gamma` gets a bottom target and shift 1."""
+    layers = [tuple(q for q in layer if q in keep) for layer in s.layers]
+    while len(layers) > 2 and not layers[-1]:
+        layers.pop()
+    return Qds(
+        alphabet=s.alphabet,
+        layers=tuple(layers),
+        initial=s.initial,
+        finals=frozenset(finals),
+        delta=delta,
+        gamma={p: gamma.get(p, (None, 1)) for p in layers[-1]},
+    )
+
+
+def prune_unreachable(s: Qds) -> Qds:
+    """Restrict to states reachable from the initial along delta edges and
+    non-bottom gamma targets; trailing layers left empty are dropped (a
+    fresh top layer gets all-bottom gamma). Language unchanged. The identity
+    on what `build_qds` returns; it is for parsed structures."""
+    arcs = [(p, q) for (p, _), q in s.delta.items()]
+    arcs += [(p, t) for p, (t, _) in s.gamma.items() if t is not None]
+    keep = closure({s.initial}, arcs)
+    if len(keep) == len(s.states) and s.layers[-1]:
+        return s  # nothing to drop, as on every structure `build_qds` returns
+    delta = {(p, x): q for (p, x), q in s.delta.items() if p in keep}
+    return restrict_qds(s, keep, delta, s.gamma, s.finals & keep)

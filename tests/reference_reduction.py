@@ -9,14 +9,18 @@ layer until two consecutive partitions are equal, and the minimisation
 completes the DFA with a sink, refines from the finality split and strips
 the sink again. `reference_fixpoint` must equal `equiv_fixpoint`, `steps`
 included, and `reference_minimize` must equal `minimize_dfa`.
+
+`verify_right_invariant` and `quotient` are the name-keyed check and
+quotient, the oracles for the library's versions on `Qds.tables`: the same
+counterexample, equal structures and the same errors.
 """
 
 from __future__ import annotations
 
-from qds.errors import PreconditionError
-from qds.nfa import Dfa, accessible_part
-from qds.reduction import LayeredPartition
-from qds.structure import Qds
+from qds.errors import InputError, PreconditionError
+from qds.nfa import Dfa, accessible_part, subset_name, subset_names
+from qds.reduction import LayeredPartition, RightInvariantResult
+from qds.structure import GammaEntry, Qds
 
 _BOTTOM = "<bottom>"  # signature marker: an undefined successor/target
 
@@ -159,4 +163,92 @@ def reference_minimize(d: Dfa) -> Dfa:
             class_name(cid) for cid in keep if classes[cid] & d.finals
         ),
         transitions=tuple(transitions),
+    )
+
+
+def verify_right_invariant(s: Qds, p: LayeredPartition) -> RightInvariantResult:
+    """Check both closure conditions: delta successors stay equivalent
+    (bottom only matching bottom), and top-layer classmates share a shift
+    length with equivalent targets."""
+    if len(p.layers) != s.m:
+        raise InputError("partition layer count does not match the structure")
+    for j, (classes, layer) in enumerate(zip(p.layers, s.layers)):
+        members = set().union(*classes) if classes else set()
+        if members != set(layer):
+            raise InputError(f"partition does not cover layer {j + 1} exactly")
+
+    def same(a: str | None, b: str | None) -> bool:
+        if a is None or b is None:
+            return a is b
+        return p.class_of[a] == p.class_of[b]
+
+    for j, classes in enumerate(p.layers, start=1):
+        for cls in classes:
+            rep = min(cls)
+            for q in sorted(cls - {rep}):
+                if j == s.m:
+                    t1, l1 = s.gamma[rep]
+                    t2, l2 = s.gamma[q]
+                    if l1 != l2 or not same(t1, t2):
+                        return RightInvariantResult(False, (rep, q, l2))
+                else:
+                    for a in s.alphabet:
+                        if not same(s.delta.get((rep, a)), s.delta.get((q, a))):
+                            return RightInvariantResult(False, (rep, q, a))
+    return RightInvariantResult(True, None)
+
+
+def quotient(s: Qds, p: LayeredPartition) -> Qds:
+    """Merge every class into one state.
+
+    Requires right invariance and, on layers 2 and up, classes pure in
+    finality. Finals of the quotient: every non-layer-1 class meeting the
+    finals, plus the initial's class iff the initial itself is final.
+    """
+    check = verify_right_invariant(s, p)
+    if not check:
+        raise PreconditionError(
+            f"partition is not right invariant, witness {check.counterexample}"
+        )
+    for classes in p.layers[1:]:
+        for cls in classes:
+            flags = {q in s.finals for q in cls}
+            if len(flags) > 1:
+                raise PreconditionError(
+                    f"class {subset_name(cls)} mixes final and non-final states"
+                )
+
+    classes = [cls for layer in p.layers for cls in layer]
+    name = {q: n for cls, n in zip(classes, subset_names(classes)) for q in cls}
+    layers = tuple(
+        tuple(dict.fromkeys(name[q] for q in layer)) for layer in s.layers
+    )
+    delta: dict[tuple[str, str], str] = {}
+    for classes in p.layers[:-1]:
+        for cls in classes:
+            rep = min(cls)
+            for a in s.alphabet:
+                tgt = s.delta.get((rep, a))
+                if tgt is not None:
+                    delta[(name[rep], a)] = name[tgt]
+    gamma: dict[str, GammaEntry] = {}
+    for cls in p.layers[-1]:
+        rep = min(cls)
+        target, shift = s.gamma[rep]
+        gamma[name[rep]] = (None if target is None else name[target], shift)
+    finals = {
+        name[q]
+        for layer in s.layers[1:]
+        for q in layer
+        if q in s.finals
+    }
+    if s.initial in s.finals:
+        finals.add(name[s.initial])
+    return Qds(
+        alphabet=s.alphabet,
+        layers=layers,
+        initial=name[s.initial],
+        finals=frozenset(finals),
+        delta=delta,
+        gamma=gamma,
     )

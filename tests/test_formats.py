@@ -108,6 +108,13 @@ def test_parse_qds_numbers_are_ascii_digits():
     assert parse_qds(base + "@layers 2\n@layer 1 p\n@layer 2 q\n@gamma q p 1\n").m == 2
 
 
+def test_parse_qds_refuses_repeated_alphabet_symbol():
+    text = "@type qds\n@alphabet a a\n@layers 2\n@layer 1 p\n@layer 2 r\n@initial p\n@gamma r p 1\n"
+    with pytest.raises(InputError, match="duplicate alphabet symbols"):
+        parse_qds(text)
+    parse_qds(text.replace("a a", "a"))
+
+
 def test_parse_qds_checks_layer_count_before_allocating():
     # without the check this asks for a list of 10**12 layers
     with pytest.raises(InputError, match="@layer line"):

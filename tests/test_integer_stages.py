@@ -1,0 +1,192 @@
+"""The compile stages on `Qds.tables` against their name-keyed oracles.
+
+`build_qds`, `prune_unreachable`, `restrict_qds` (behind prune and trim) and
+`quotient` build their output without running `Qds.__post_init__` and hand
+over the tables they computed. Every structure they return must equal its
+fields re-validated by `Qds(...)`, serialise the same, hold its fields in
+the stored types and carry the tables `Qds.tables` computes from its dicts;
+and each stage must give what its oracle in `tests/` gives, errors included.
+"""
+
+import random
+from dataclasses import fields
+from pathlib import Path
+
+from hypothesis import given, settings
+
+from qds import (
+    PreconditionError,
+    Qds,
+    QdsError,
+    build_qds,
+    equiv_fixpoint,
+    gen_lk_nfa,
+    gen_sk_qds,
+    prune_unreachable,
+    quotient,
+    trim_qds,
+    verify_right_invariant,
+)
+from qds.formats import parse_qds, serialize_qds
+from qds.reduction import LayeredPartition
+from qds.structure import restrict_qds
+from tests import test_reduction, test_trim
+from tests.conftest import window_cases
+from tests.reference_build import prune_unreachable as reference_prune
+from tests.reference_build import reference_build
+from tests.reference_build import restrict_qds as reference_restrict
+from tests.reference_reduction import quotient as reference_quotient
+from tests.reference_reduction import verify_right_invariant as reference_verify
+from tests.reference_trim import reference_trim
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def assert_trusted(s: Qds) -> None:
+    """`s` is what `Qds(...)` makes of its fields, and its tables were
+    handed over equal to the ones computed from its dicts."""
+    checked = Qds(s.alphabet, s.layers, s.initial, s.finals, s.delta, s.gamma)
+    assert checked == s and serialize_qds(checked) == serialize_qds(s)
+    for f in fields(Qds):
+        assert type(getattr(s, f.name)) is type(getattr(checked, f.name)), f.name
+    assert vars(s)["tables"] == checked.tables
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type and text of the QdsError it raised."""
+    try:
+        return fn(*args)
+    except QdsError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(got, want) -> None:
+    assert got == want
+    if isinstance(want, Qds):
+        assert serialize_qds(got) == serialize_qds(want)
+        assert_trusted(got)
+
+
+def assert_stages_are_reference(s: Qds) -> None:
+    """Prune, trim and the fixpoint's quotient of `s` and of its trim, each
+    against its oracle."""
+    pruned = prune_unreachable(s)
+    want = reference_prune(s)
+    if want is s:
+        assert pruned is s
+    else:
+        assert_same(pruned, want)
+    trimmed = trim_qds(pruned)
+    assert_same(trimmed, reference_trim(pruned))
+    for base in (pruned, trimmed):
+        p = equiv_fixpoint(base)
+        assert verify_right_invariant(base, p) == reference_verify(base, p)
+        assert_same(outcome(quotient, base, p), outcome(reference_quotient, base, p))
+
+
+def built_structures():
+    """The built corpora of the trim and reduction tests, the buildable
+    `window_cases` and L_0..L_8 at (K+2, 1)."""
+    yield from test_trim.built_corpus()
+    yield from test_reduction.built_corpus(60)
+    for a, k, l in window_cases(600):
+        try:
+            yield build_qds(a, k, l)
+        except PreconditionError:
+            continue
+    for K in range(9):
+        yield build_qds(gen_lk_nfa(K), K + 2, 1)
+
+
+def parsed_structures():
+    """S_0..S_6, `data/*.qds` and one with an empty top layer, which prune
+    drops: structures made through `Qds(...)`."""
+    for K in range(7):
+        yield gen_sk_qds(K)
+    yield Qds(("a",), (("p",), ("q",), ()), "p", {"q"}, {("p", "a"): "q"}, {})
+    for path in sorted(DATA.glob("*.qds")):
+        yield parse_qds(path.read_text())
+
+
+def test_build_is_trusted_and_reference():
+    for a, k, l in window_cases(600):
+        try:
+            want = reference_prune(reference_build(a, k, l))
+        except PreconditionError:
+            continue
+        assert_same(build_qds(a, k, l), want)
+    for K in range(9):
+        assert_trusted(build_qds(gen_lk_nfa(K), K + 2, 1))
+
+
+def test_stages_are_reference_on_built_structures():
+    count = 0
+    for s in built_structures():
+        assert_trusted(s)
+        assert_stages_are_reference(s)
+        count += 1
+    assert count >= 800
+
+
+def test_stages_are_reference_on_parsed_structures():
+    for s in parsed_structures():
+        assert_stages_are_reference(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(test_trim.structures())
+def test_stages_are_reference_on_generated_structures(s):
+    assert_stages_are_reference(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(test_trim.structures())
+def test_restriction_is_reference_on_random_marks(s):
+    """Random marks that keep the initial state and only edges between kept
+    states, against the name-keyed restriction of the same parts."""
+    rng = random.Random(serialize_qds(s))
+    t, names, w = s.tables, s.states, s.tables.width
+    keep = bytearray(rng.random() < 0.7 for _ in names)
+    keep[t.initial // w] = 1
+    delta_used = bytearray(r >= 0 and keep[x // w] and keep[r // w] and rng.random() < 0.8
+                           for x, r in enumerate(t.delta))
+    gamma_used = bytearray(g is not None and keep[i] and (g[0] < 0 or keep[g[0] // w])
+                           and rng.random() < 0.8 for i, g in enumerate(t.gamma))
+    final = bytearray(keep[i] and rng.random() < 0.5 for i in range(len(names)))
+    want = reference_restrict(
+        s,
+        {q for q, k in zip(names, keep) if k},
+        {(names[x // w], s.alphabet[x % w]): names[t.delta[x] // w]
+         for x, used in enumerate(delta_used) if used},
+        {q: s.gamma[q] for q, used in zip(names, gamma_used) if used},
+        {q for q, f in zip(names, final) if f},
+    )
+    assert_same(restrict_qds(s, keep, delta_used, gamma_used, final), want)
+
+
+def broken_partitions(p: LayeredPartition, rng: random.Random):
+    """`p` with one state moved into another class of its layer, once per
+    layer that has two classes."""
+    for j, classes in enumerate(p.layers):
+        if len(classes) < 2:
+            continue
+        a, b = rng.sample(range(len(classes)), 2)
+        q = rng.choice(sorted(classes[a]))
+        moved = list(classes)
+        moved[a], moved[b] = classes[a] - {q}, classes[b] | {q}
+        layer = tuple(cls for cls in moved if cls)
+        yield LayeredPartition(p.layers[:j] + (layer,) + p.layers[j + 1:], p.steps)
+
+
+def test_broken_partitions_give_the_reference_counterexample():
+    rng = random.Random(3)
+    tags = set()
+    for s in [*built_structures(), *parsed_structures()]:
+        s = trim_qds(s)
+        for bad in broken_partitions(equiv_fixpoint(s), rng):
+            check = verify_right_invariant(s, bad)
+            assert check == reference_verify(s, bad)
+            assert outcome(quotient, s, bad) == outcome(reference_quotient, s, bad)
+            if not check:
+                tags.add(type(check.counterexample[2]))
+    assert tags == {str, int}  # both a delta and a gamma counterexample were met

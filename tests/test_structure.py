@@ -7,11 +7,8 @@ from qds import (
     InputError,
     PreconditionError,
     Qds,
-    QdsEdge,
-    analyze_path,
     build_qds,
     dfa_to_qds,
-    extended_delta,
     gen_sk_qds,
     lint_qds,
     prune_unreachable,
@@ -22,6 +19,7 @@ from qds.formats import parse_qds, serialize_qds
 from qds.structure import format_trace
 from qds.words import words_up_to
 from tests.conftest import mk_nfa
+from tests.reference_structure import QdsEdge, analyze_path, extended_delta
 
 
 def all_shiftable_path_ends(s: Qds, q1: str, w, cap=None):
@@ -252,6 +250,12 @@ def test_lint_flags_full_window_shift():
         gamma={"q": ("p", 1)},
     )
     assert not lint_qds(ok)
+
+
+def test_qds_refuses_repeated_alphabet_symbol():
+    """As `Nfa` does: the tables give each symbol its own column."""
+    with pytest.raises(InputError, match="duplicate alphabet symbols"):
+        Qds(("a", "a"), (("p",), ("r",)), "p", {"r"}, {("p", "a"): "r"}, {"r": ("p", 1)})
 
 
 def test_qds_validation_errors():

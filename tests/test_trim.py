@@ -173,7 +173,7 @@ def test_trim_already_trim_is_identity(two_lane_qds):
 
 
 def enumerate_paths(s, start, max_len):
-    from qds import QdsEdge
+    from tests.reference_structure import QdsEdge
 
     out_edges = {}
     for (p, x), q in s.delta.items():
@@ -198,7 +198,7 @@ def test_shiftable_iff_traceable_from_compatible_starts(
     (p1, eps, v) with v a proper symbol prefix of the token word, the
     path-DFA traces the whole token word and ends with the obligation
     strictly discharged (v' a proper prefix of u')."""
-    from qds import analyze_path
+    from tests.reference_structure import analyze_path
     from tests.reference_trim import _proper_prefix
 
     for s in small_corpus(three_state_dfa, trim_demo_qds, dead_lane_qds, two_lane_qds):
