@@ -53,9 +53,7 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
     ix = {q: i for i, q in enumerate(a.states)}
     final_mask = sum(1 << ix[q] for q in a.finals)
     succ, _ = kernels.masks(a)
-    spell = "".join if all(len(x) == 1 for x in a.alphabet) else word_str
-    spelled = [[spell(w) or "_" for w in words_of_length(a.alphabet, j)]  # = word_str(w)
-               for j in range(k + 1)]
+    spelled = [[word_str(w) for w in words_of_length(a.alphabet, j)] for j in range(k + 1)]
     names = [f"{q}|{w}" for level in spelled for q in sources for w in level]  # pair_name
     if len(set(names)) < len(names):
         _refuse_colliding_names(a, k, sources, names)

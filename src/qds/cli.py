@@ -128,17 +128,16 @@ def _cmd_member(args) -> int:
 
 def _cmd_trim(args) -> int:
     s = _load_qds(args.file)
-    report = trim.compute_useful(s)
-    _write_text(args.out, formats.serialize_qds(trim.trim_qds(s, report)))
+    t = trim.trim_qds(s)
+    _write_text(args.out, formats.serialize_qds(t))
     if args.report:
         lines = ["kind\tdetail"]
-        lines += [f"state\t{q}" for q in s.states if q not in report.useful_states]
+        lines += [f"state\t{q}" for q in s.states if q not in t.layer_of]
         lines += [f"delta\t{p} {x} {q}" for (p, x), q in sorted(s.delta.items())
-                  if (p, x, q) not in report.useful_delta]
+                  if t.delta.get((p, x)) != q]
         lines += [f"gamma\t{p} {target} {shift}" for p, (target, shift) in sorted(s.gamma.items())
-                  if target is not None and (p, shift, target) not in report.useful_gamma]
-        lines += [f"finality\t{q}" for q in s.states
-                  if q in s.finals and q not in report.useful_finalities]
+                  if target is not None and t.gamma.get(p) != (target, shift)]
+        lines += [f"finality\t{q}" for q in s.states if q in s.finals and q not in t.finals]
         stream = sys.stdout if args.out not in (None, "-") else sys.stderr
         print("\n".join(lines), file=stream)
     return 0

@@ -131,15 +131,13 @@ class Qds:
 
 
 def _trusted_qds(alphabet, layers, initial, finals, delta, gamma,
-                 tables: QdsTables | None = None) -> Qds:
+                 tables: QdsTables) -> Qds:
     """A `Qds` from fields already in their stored types and already known to
-    meet every invariant: `__post_init__` does not run. With `tables`, the
-    cached `Qds.tables` starts filled. Only the compile stages call it."""
+    meet every invariant: `__post_init__` does not run. The cached
+    `Qds.tables` starts filled with `tables`. Only the compile stages call it."""
     s = object.__new__(Qds)
     vars(s).update(alphabet=alphabet, layers=layers, initial=initial,
-                   finals=finals, delta=delta, gamma=gamma)
-    if tables is not None:
-        vars(s)["tables"] = tables
+                   finals=finals, delta=delta, gamma=gamma, tables=tables)
     return s
 
 

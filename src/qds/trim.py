@@ -226,21 +226,10 @@ def compute_useful(s: Qds) -> UsefulReport:
     )
 
 
-def trim_qds(s: Qds, report: UsefulReport | None = None) -> Qds:
-    """Keep only useful states, transitions and finalities (`report`, or
-    the path-DFA's marks when none is given); language unchanged,
-    idempotent. Gamma entries whose edge is useless collapse to bottom;
-    trailing layers left empty are dropped (keeping at least two). The
-    result is restricted on the tables and carries its own."""
-    if report is None:
-        return restrict_qds(s, *_useful_marks(s))
-    t, ix = s.tables, {q: i for i, q in enumerate(s.states)}
-    keep, final, gamma_used = (bytearray(len(ix)) for _ in range(3))
-    delta_used = bytearray(len(t.delta))
-    for marks, states in ((keep, report.useful_states), (final, report.useful_finalities),
-                          (gamma_used, (p for p, _, _ in report.useful_gamma))):
-        for q in states:
-            marks[ix[q]] = 1
-    for p, x, _ in report.useful_delta:
-        delta_used[ix[p] * t.width + t.code[x]] = 1
-    return restrict_qds(s, keep, delta_used, gamma_used, final)
+def trim_qds(s: Qds) -> Qds:
+    """Keep only useful states, transitions and finalities (the path-DFA's
+    marks); language unchanged, idempotent. Gamma entries whose edge is
+    useless collapse to bottom; trailing layers left empty are dropped
+    (keeping at least two). The result is restricted on the tables and
+    carries its own."""
+    return restrict_qds(s, *_useful_marks(s))

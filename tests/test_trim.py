@@ -394,7 +394,7 @@ def test_cli_output_is_reference(tmp_path, monkeypatch, capsys, command):
         got = capsys.readouterr()
         with monkeypatch.context() as patch:
             patch.setattr(trim, "build_path_dfa", reference_path_dfa)
-            patch.setattr(trim, "compute_useful", reference_useful)
+            patch.setattr(trim, "trim_qds", reference_trim)
             assert main(command + [str(path)]) == 0
         assert capsys.readouterr() == got
 
