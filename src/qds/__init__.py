@@ -30,7 +30,6 @@ from .nfa import (
     minimize_dfa,
     nfa_membership,
     random_nfa,
-    trim_nfa,
 )
 from .reduction import (
     LayeredPartition,

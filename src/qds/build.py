@@ -5,7 +5,7 @@ embedding of a DFA."""
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate
 
 from . import kernels
 from .errors import InputError, PreconditionError
@@ -13,11 +13,6 @@ from .kl import StepTable, step_table
 from .nfa import Dfa, Nfa, closure
 from .structure import Qds, QdsTables, _trusted_qds, restrict_qds
 from .words import Word, word_str, words_of_length
-
-
-def pair_name(q: str, w: Word) -> str:
-    """Stable printable name for a (state, read-so-far) pair."""
-    return f"{q}|{word_str(w)}"
 
 
 def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
@@ -54,7 +49,8 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
     final_mask = sum(1 << ix[q] for q in a.finals)
     succ, _ = kernels.masks(a)
     spelled = [[word_str(w) for w in words_of_length(a.alphabet, j)] for j in range(k + 1)]
-    names = [f"{q}|{w}" for level in spelled for q in sources for w in level]  # pair_name
+    # pair (q, w) is named "q|w", as `pair_name` in tests/reference_build.py
+    names = [f"{q}|{w}" for level in spelled for q in sources for w in level]
     if len(set(names)) < len(names):
         _refuse_colliding_names(a, k, sources, names)
     sizes = [len(sources) * len(level) for level in spelled]
@@ -67,24 +63,17 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
               for j, level in enumerate(kernels.fronts(succ, 1 << ix[q], k))
               for x, f in enumerate(level) if f & final_mask]
     entries = [table.entries[q, w] for q in sources for w in words_of_length(a.alphabet, k)]
-    targets = [None if e.successor is None else source_ix[e.successor] for e in entries]
     delta = [r * width for r in range(len(sources), starts[-1])]
     delta += [-1] * (starts[-1] * width - len(delta))
-    tables = QdsTables(
-        {x: c for c, x in enumerate(a.alphabet)}, width, source_ix[initial] * width,
-        delta,
-        [None] * top + [(-1 if r is None else r * width, e.index)
-                        for r, e in zip(targets, entries)],
-        frozenset(i * width for i in finals))
     return _trusted_qds(
         a.alphabet,
         tuple(tuple(names[lo:hi]) for lo, hi in zip(starts, starts[1:])),
-        names[source_ix[initial]],
-        frozenset(names[i] for i in finals),
-        dict(zip(product(names[:top], a.alphabet), names[len(sources):])),
-        {p: (None if r is None else names[r], e.index)
-         for p, r, e in zip(names[top:], targets, entries)},
-        tables)
+        QdsTables({x: c for c, x in enumerate(a.alphabet)}, width,
+                  source_ix[initial] * width, delta,
+                  [None] * top + [(-1 if e.successor is None
+                                   else source_ix[e.successor] * width, e.index)
+                                  for e in entries],
+                  frozenset(i * width for i in finals)))
 
 
 def _refuse_colliding_names(a: Nfa, k: int, sources: list[str], names: list[str]) -> None:

@@ -141,13 +141,6 @@ def parse_qds(text: str) -> Qds:
     return Qds(alphabet, tuple(layers), initial_row[0], finals, delta, gamma)
 
 
-def _delta_in_order(s: Qds) -> list[tuple[tuple[str, str], str]]:
-    """Delta edges by declared source state, then declared symbol."""
-    sym_ix = {a: i for i, a in enumerate(s.alphabet)}
-    state_ix = {q: i for i, q in enumerate(s.states)}
-    return sorted(s.delta.items(), key=lambda kv: (state_ix[kv[0][0]], sym_ix[kv[0][1]]))
-
-
 def serialize_qds(s: Qds) -> str:
     lines = [
         "@type qds",
@@ -158,7 +151,7 @@ def serialize_qds(s: Qds) -> str:
         lines.append(f"@layer {j} " + " ".join(layer))
     lines.append(f"@initial {s.initial}")
     lines.append("@final " + " ".join(q for q in s.states if q in s.finals))
-    for (p, x), q in _delta_in_order(s):
+    for (p, x), q in s.delta.items():
         lines.append(f"{p} {x} {q}")
     for p in s.layers[-1]:
         target, shift = s.gamma[p]
@@ -236,7 +229,7 @@ def nfa_to_dot(a: Nfa) -> str:
 
 def qds_to_dot(s: Qds) -> str:
     solid: dict[tuple[str, str], list[str]] = {}
-    for (p, x), q in _delta_in_order(s):
+    for (p, x), q in s.delta.items():
         solid.setdefault((p, q), []).append(x)
     dashed: dict[tuple[str, str], list[str]] = {}
     for p in s.layers[-1]:

@@ -210,12 +210,6 @@ def accessible_part(a: Nfa) -> Nfa:
     return _restrict(a, accessible_states(a))
 
 
-def trim_nfa(a: Nfa) -> Nfa:
-    """Sub-automaton of accessible-and-coaccessible states; language
-    unchanged, idempotent; may be empty."""
-    return _restrict(a, accessible_states(a) & coaccessible_states(a))
-
-
 def subset_name(members: Iterable[str]) -> str:
     return "{" + ",".join(sorted(members)) + "}"
 

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 from .errors import InputError, PreconditionError
 from .nfa import refine, subset_name, subset_names
-from .structure import GammaEntry, Qds, QdsTables, _trusted_qds
+from .structure import Qds, QdsTables, _trusted_qds
 
 
 @dataclass(frozen=True)
@@ -139,13 +139,15 @@ def quotient(s: Qds, p: LayeredPartition) -> Qds:
         raise PreconditionError(
             f"partition is not right invariant, witness {check.counterexample}"
         )
-    for cls in classes[len(p.layers[0]):]:
-        if not (cls <= s.finals or cls.isdisjoint(s.finals)):
-            raise PreconditionError(
-                f"class {subset_name(cls)} mixes final and non-final states"
-            )
-    t, sym, names = s.tables, s.alphabet, subset_names(classes)
+    t = s.tables
     w, top = t.width, len(s.states) - len(s.layers[-1])
+    mixed = [cid[i] for i in range(len(s.layers[0]), len(s.states))
+             if (i * w in t.finals) != (reps[cid[i]] * w in t.finals)]
+    if mixed:
+        raise PreconditionError(
+            f"class {subset_name(classes[min(mixed)])} mixes final and non-final states"
+        )
+    names = subset_names(classes)
     layers, order, lo = [], [], 0
     for layer in s.layers:  # each layer's classes by first member
         here = list(dict.fromkeys(cid[lo:lo + len(layer)]))
@@ -157,22 +159,16 @@ def quotient(s: Qds, p: LayeredPartition) -> Qds:
         new[c] = i * w
     start = cid[t.initial // w]
     delta, gamma = [-1] * (len(order) * w), [None] * len(order)
-    named_delta: dict[tuple[str, str], str] = {}
-    named_gamma: dict[str, GammaEntry] = {}
     finals = []
     for c in order:
         r = reps[c]
         if r >= top:
             target, shift = t.gamma[r]
             gamma[new[c] // w] = (new[cid[target // w]], shift)
-            named_gamma[names[c]] = (None if target < 0 else names[cid[target // w]], shift)
-        for x, q in enumerate(t.delta[r * w:r * w + len(sym)]):
+        for x, q in enumerate(t.delta[r * w:r * w + len(s.alphabet)]):
             if q >= 0:
                 delta[new[c] + x] = new[cid[q // w]]
-                named_delta[names[c], sym[x]] = names[cid[q // w]]
         if (r * w in t.finals if r >= len(s.layers[0]) else c == start and t.initial in t.finals):
-            finals.append(c)
-    return _trusted_qds(
-        sym, tuple(layers), names[start], frozenset(names[c] for c in finals),
-        named_delta, named_gamma,
-        QdsTables(t.code, w, new[start], delta, gamma, frozenset(new[c] for c in finals)))
+            finals.append(new[c])
+    return _trusted_qds(s.alphabet, tuple(layers),
+                        QdsTables(t.code, w, new[start], delta, gamma, frozenset(finals)))

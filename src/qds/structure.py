@@ -6,14 +6,17 @@ exactly one layer; gamma maps every top-layer state to a layer-one target
 (or bottom) together with a shift length in 1..m. Recognition slides the
 window along the input, re-reading the overlap after each shift.
 
-`Qds(...)`, and so `parse_qds` and every hand-made structure, checks every
-invariant in `__post_init__`. The compile stages (`build_qds`, the integer
-`restrict_qds` behind prune and trim, and `quotient`) build their output
-through `_trusted_qds` instead: every name, layer and edge they emit comes
-from a structure or automaton that was already checked, each construction
-keeps the invariants by its arithmetic, and they hand over the integer
-tables they computed. The one invariant the build's arithmetic does not
-give, distinct pair names, it checks itself.
+A `Qds` is stored as its alphabet, its layers and its integer tables
+(`QdsTables`); `initial`, `finals`, `delta` and `gamma` are read off the
+tables by name when first asked for. `Qds(...)`, and so `parse_qds` and
+every hand-made structure, takes the name-keyed parts, checks every
+invariant and builds the tables once. The compile stages (`build_qds`, the
+integer `restrict_qds` behind prune and trim, and `quotient`) compute on
+tables and hand them over through `_trusted_qds` instead: every name, layer
+and edge they emit comes from a structure or automaton that was already
+checked, and each construction keeps the invariants by its arithmetic. The
+one invariant the build's arithmetic does not give, distinct pair names, it
+checks itself.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ GammaEntry = tuple[str | None, int]  # (target or bottom, shift)
 
 
 class QdsTables(NamedTuple):
-    """A structure compiled to integers for membership.
+    """The stored form of a structure: states numbered in layer order.
 
     State number i is stored as its row offset i*width, so a read is the one
     subscript ``delta[state + code]``; -1 is bottom. Row offsets divided by
@@ -45,21 +48,21 @@ class QdsTables(NamedTuple):
     finals: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Qds:
+    """A structure stored as its tables, its names read off them. Equal
+    tables mean equal name-keyed parts: names are unique, states in order."""
+
     alphabet: tuple[str, ...]
     layers: tuple[tuple[str, ...], ...]
-    initial: str
-    finals: frozenset[str]
-    delta: Mapping[tuple[str, str], str]
-    gamma: Mapping[str, GammaEntry]
+    tables: QdsTables
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "delta", dict(self.delta))
-        object.__setattr__(self, "gamma", dict(self.gamma))
+    def __init__(self, alphabet: Iterable[str], layers: Iterable[Iterable[str]], initial: str,
+                 finals: Iterable[str], delta: Mapping[tuple[str, str], str],
+                 gamma: Mapping[str, GammaEntry]) -> None:
+        object.__setattr__(self, "alphabet", tuple(alphabet))
+        object.__setattr__(self, "layers", tuple(tuple(l) for l in layers))
+        finals, delta, gamma = frozenset(finals), dict(delta), dict(gamma)
         if len(self.layers) < 2:
             raise InputError("a QDS needs at least two layers")
         if len(set(self.alphabet)) != len(self.alphabet):
@@ -74,12 +77,12 @@ class Qds:
                 check_token(q, "state id")
                 seen.add(q)
         layer_of = self.layer_of
-        if layer_of.get(self.initial) != 1:
+        if layer_of.get(initial) != 1:
             raise InputError("initial state must sit in layer 1")
-        if not self.finals <= seen:
+        if not finals <= seen:
             raise InputError("final states not all declared")
         alpha = set(self.alphabet)
-        for (p, a), q in self.delta.items():
+        for (p, a), q in delta.items():
             if a not in alpha:
                 raise InputError(f"delta symbol {a!r} not in alphabet")
             if p not in layer_of or q not in layer_of:
@@ -89,13 +92,24 @@ class Qds:
                     f"delta edge ({p},{a},{q}) must advance exactly one layer"
                 )
         top = set(self.layers[-1])
-        if set(self.gamma) != top:
+        if set(gamma) != top:
             raise InputError("gamma must be defined on exactly the last layer")
-        for p, (target, shift) in self.gamma.items():
+        for p, (target, shift) in gamma.items():
             if not (1 <= shift <= self.m):
                 raise InputError(f"gamma shift at {p!r} out of range 1..{self.m}")
             if target is not None and layer_of.get(target) != 1:
                 raise InputError(f"gamma target of {p!r} must sit in layer 1")
+        width = max(len(self.alphabet), 1)
+        code = {a: i for i, a in enumerate(self.alphabet)}
+        row = {q: i * width for i, q in enumerate(self.states)}
+        int_delta = [-1] * (len(self.states) * width)
+        for (p, a), q in delta.items():
+            int_delta[row[p] + code[a]] = row[q]
+        int_gamma: list[tuple[int, int] | None] = [None] * len(self.states)
+        for p, (target, shift) in gamma.items():
+            int_gamma[row[p] // width] = (-1 if target is None else row[target], shift)
+        object.__setattr__(self, "tables", QdsTables(code, width, row[initial], int_delta,
+                                                     int_gamma, frozenset(row[q] for q in finals)))
 
     @property
     def m(self) -> int:
@@ -115,29 +129,37 @@ class Qds:
         return {q: j + 1 for j, layer in enumerate(self.layers) for q in layer}
 
     @cached_property
-    def tables(self) -> QdsTables:
-        """Integer tables for `qds_membership`, built on first use."""
-        width = max(len(self.alphabet), 1)
-        code = {a: i for i, a in enumerate(self.alphabet)}
-        row = {q: i * width for i, q in enumerate(self.states)}
-        delta = [-1] * (len(self.states) * width)
-        for (p, a), q in self.delta.items():
-            delta[row[p] + code[a]] = row[q]
-        gamma: list[tuple[int, int] | None] = [None] * len(self.states)
-        for p, (target, shift) in self.gamma.items():
-            gamma[row[p] // width] = (-1 if target is None else row[target], shift)
-        return QdsTables(code, width, row[self.initial], delta, gamma,
-                         frozenset(row[q] for q in self.finals))
+    def initial(self) -> str:
+        return self.states[self.tables.initial // self.tables.width]
+
+    @cached_property
+    def finals(self) -> frozenset[str]:
+        t = self.tables
+        return frozenset(self.states[r // t.width] for r in t.finals)
+
+    @cached_property
+    def delta(self) -> dict[tuple[str, str], str]:
+        """Edges by name, in (declared state, declared symbol) order."""
+        t, names, sym = self.tables, self.states, self.alphabet
+        w = t.width
+        return {(names[x // w], sym[x % w]): names[r // w]
+                for x, r in enumerate(t.delta) if r >= 0}
+
+    @cached_property
+    def gamma(self) -> dict[str, GammaEntry]:
+        """Top-layer state -> (target or None for bottom, shift)."""
+        t, names = self.tables, self.states
+        top = len(names) - len(self.layers[-1])
+        return {names[i]: (None if target < 0 else names[target // t.width], shift)
+                for i, (target, shift) in enumerate(t.gamma[top:], top)}
 
 
-def _trusted_qds(alphabet, layers, initial, finals, delta, gamma,
-                 tables: QdsTables) -> Qds:
-    """A `Qds` from fields already in their stored types and already known to
-    meet every invariant: `__post_init__` does not run. The cached
-    `Qds.tables` starts filled with `tables`. Only the compile stages call it."""
+def _trusted_qds(alphabet, layers, tables: QdsTables) -> Qds:
+    """A `Qds` from parts already in their stored types and already known to
+    meet every invariant: the checks of `Qds.__init__` do not run. Only the
+    compile stages call it."""
     s = object.__new__(Qds)
-    vars(s).update(alphabet=alphabet, layers=layers, initial=initial,
-                   finals=finals, delta=delta, gamma=gamma, tables=tables)
+    vars(s).update(alphabet=alphabet, layers=layers, tables=tables)
     return s
 
 
@@ -149,7 +171,7 @@ def restrict_qds(s: Qds, keep, delta_used, gamma_used, final) -> Qds:
     trailing layers left empty are dropped (keeping at least two), and a
     top-layer state whose gamma entry is unmarked gets a bottom target and
     shift 1. The result carries its tables."""
-    t, names, sym = s.tables, s.states, s.alphabet
+    t, n = s.tables, len(s.states)
     w = t.width
     layers, lo = [], 0
     for layer in s.layers:
@@ -157,29 +179,24 @@ def restrict_qds(s: Qds, keep, delta_used, gamma_used, final) -> Qds:
         lo += len(layer)
     while len(layers) > 2 and not layers[-1]:
         layers.pop()
-    kept = list(compress(range(len(names)), keep))
-    row = [-1] * (len(names) + 1)  # old state -> new row offset; row[-1] is bottom
+    kept = list(compress(range(n), keep))
+    row = [-1] * (n + 1)  # old state -> new row offset; row[-1] is bottom
     for i, old in enumerate(kept):
         row[old] = i * w
-    delta, named_delta = [-1] * (len(kept) * w), {}
+    delta = [-1] * (len(kept) * w)
     for x in compress(range(len(t.delta)), delta_used):
         if t.delta[x] >= 0:
             p, c = divmod(x, w)
             delta[row[p] + c] = row[t.delta[x] // w]
-            named_delta[names[p], sym[c]] = names[t.delta[x] // w]
     gamma: list[tuple[int, int] | None] = [None] * len(kept)
-    named_gamma: dict[str, GammaEntry] = {}
     for i in range(len(kept) - len(layers[-1]), len(kept)):
         g = t.gamma[kept[i]]
         target, shift = g if g is not None and gamma_used[kept[i]] else (-1, 1)
         gamma[i] = (row[target // w], shift)
-        named_gamma[names[kept[i]]] = (names[target // w] if target >= 0 else None, shift)
-    finals = [i for i in kept if final[i]]
     return _trusted_qds(
-        sym, tuple(layers), s.initial, frozenset(names[i] for i in finals),
-        named_delta, named_gamma,
+        s.alphabet, tuple(layers),
         QdsTables(t.code, w, row[t.initial // w], delta, gamma,
-                  frozenset(row[i] for i in finals)))
+                  frozenset(row[i] for i in kept if final[i])))
 
 
 @dataclass(frozen=True)

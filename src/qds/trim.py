@@ -13,8 +13,8 @@ tries only the tokens that can fire: a top-layer node its gamma shift, an
 inner node the column v[|u|] while v is unpaid, else every delta column.
 The useful parts come back as marks on the tables, which `restrict_qds`
 cuts the structure down with; names return only in `compute_useful`'s
-report. `path_dfa_step` restates one step off the definition, as the tests'
-oracle.
+report. `path_dfa_step` in tests/reference_trim.py restates one step off
+the definition, as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -40,32 +40,6 @@ class PathDfaState(NamedTuple):
 
     def __repr__(self) -> str:
         return f"({self.base},{'.'.join(self.u) or '_'},{'.'.join(self.v) or '_'})"
-
-
-def path_dfa_step(s: Qds, state: PathDfaState, token: Token) -> PathDfaState | None:
-    """One transition of the path-DFA; None where it is undefined.
-
-    Symbol tokens extend u while it stays prefix-comparable with v; a shift
-    token matching gamma resets u and turns the unread tail of the old
-    window into the new obligation v.
-    """
-    base, u, v = state
-    if isinstance(token, int):
-        if s.layer_of[base] != s.m:
-            return None
-        target, shift = s.gamma[base]
-        if target is None or shift != token:
-            return None
-        return PathDfaState(target, (), u[shift:])
-    if s.layer_of[base] == s.m:
-        return None
-    nxt = s.delta.get((base, token))
-    if nxt is None:
-        return None
-    ua = u + (token,)
-    if ua[: len(v)] != v[: len(ua)]:  # one is not a prefix of the other
-        return None
-    return PathDfaState(nxt, ua, v)
 
 
 class _States(Sequence):

@@ -12,14 +12,18 @@ reachability pruning, the oracles for the library's versions on
 
 from __future__ import annotations
 
-from qds.build import pair_name
 from typing import Container, Iterable, Mapping
 
 from qds.errors import PreconditionError
 from qds.kl import StepTable, step_table
 from qds.nfa import Nfa, closure, delta_word
 from qds.structure import GammaEntry, Qds
-from qds.words import Word, words_of_length
+from qds.words import Word, word_str, words_of_length
+
+
+def pair_name(q: str, w: Word) -> str:
+    """Stable printable name for a (state, read-so-far) pair."""
+    return f"{q}|{word_str(w)}"
 
 
 def reference_build(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:

@@ -3,7 +3,8 @@
 The library walks the path-DFA on `Qds.tables` and tries only the tokens
 that can fire at a node. This is the construction straight off the
 definition: every state tries every symbol and every shift length through
-`path_dfa_step`, and usefulness is lifted over the string-keyed states.
+`path_dfa_step`, which is also the per-step oracle of the walk, and
+usefulness is lifted over the string-keyed states.
 `reference_trim` must serialise byte-identically to `trim_qds`.
 """
 
@@ -13,12 +14,7 @@ from dataclasses import dataclass
 
 from qds.nfa import closure
 from qds.structure import Qds
-from qds.trim import (
-    PathDfaState,
-    Token,
-    UsefulReport,
-    path_dfa_step,
-)
+from qds.trim import PathDfaState, Token, UsefulReport
 from qds.words import Word
 from tests.reference_build import restrict_qds
 
@@ -30,6 +26,32 @@ class ReferencePathDfa:
     initial: PathDfaState
     finals: frozenset[PathDfaState]
     transitions: dict[tuple[PathDfaState, Token], PathDfaState]
+
+
+def path_dfa_step(s: Qds, state: PathDfaState, token: Token) -> PathDfaState | None:
+    """One transition of the path-DFA; None where it is undefined.
+
+    Symbol tokens extend u while it stays prefix-comparable with v; a shift
+    token matching gamma resets u and turns the unread tail of the old
+    window into the new obligation v.
+    """
+    base, u, v = state
+    if isinstance(token, int):
+        if s.layer_of[base] != s.m:
+            return None
+        target, shift = s.gamma[base]
+        if target is None or shift != token:
+            return None
+        return PathDfaState(target, (), u[shift:])
+    if s.layer_of[base] == s.m:
+        return None
+    nxt = s.delta.get((base, token))
+    if nxt is None:
+        return None
+    ua = u + (token,)
+    if ua[: len(v)] != v[: len(ua)]:  # one is not a prefix of the other
+        return None
+    return PathDfaState(nxt, ua, v)
 
 
 def _proper_prefix(a: Word, b: Word) -> bool:

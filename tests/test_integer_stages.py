@@ -1,15 +1,17 @@
 """The compile stages on `Qds.tables` against their name-keyed oracles.
 
 `build_qds`, `prune_unreachable`, `restrict_qds` (behind prune and trim) and
-`quotient` build their output without running `Qds.__post_init__` and hand
-over the tables they computed. Every structure they return must equal its
-fields re-validated by `Qds(...)`, serialise the same, hold its fields in
-the stored types and carry the tables `Qds.tables` computes from its dicts;
-and each stage must give what its oracle in `tests/` gives, errors included.
+`quotient` build their output without the checks of `Qds(...)` and hand
+over the tables they computed, with no names beside them. Every structure
+they return must equal its names re-validated by `Qds(...)`, serialise the
+same, hold its fields and tables in the stored types and carry the tables
+`Qds(...)` computes from its names; and each stage must give what its
+oracle in `tests/` gives, errors included.
 """
 
 import random
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from qds import (
 )
 from qds.formats import parse_qds, serialize_qds
 from qds.reduction import LayeredPartition
-from qds.structure import restrict_qds
+from qds.structure import QdsTables, restrict_qds
 from tests import test_reduction, test_trim
 from tests.conftest import window_cases
 from tests.reference_build import prune_unreachable as reference_prune
@@ -43,12 +45,12 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def assert_trusted(s: Qds) -> None:
-    """`s` is what `Qds(...)` makes of its fields, and its tables were
-    handed over equal to the ones computed from its dicts."""
+    """`s` is what `Qds(...)` makes of its names, and its tables were
+    handed over equal to the ones computed from them."""
     checked = Qds(s.alphabet, s.layers, s.initial, s.finals, s.delta, s.gamma)
     assert checked == s and serialize_qds(checked) == serialize_qds(s)
-    for f in fields(Qds):
-        assert type(getattr(s, f.name)) is type(getattr(checked, f.name)), f.name
+    for name in [f.name for f in fields(Qds)] + [f"tables.{f}" for f in QdsTables._fields]:
+        assert type(attrgetter(name)(s)) is type(attrgetter(name)(checked)), name
     assert vars(s)["tables"] == checked.tables
 
 
@@ -117,6 +119,28 @@ def test_build_is_trusted_and_reference():
         assert_same(build_qds(a, k, l), want)
     for K in range(9):
         assert_trusted(build_qds(gen_lk_nfa(K), K + 2, 1))
+
+
+def test_stage_outputs_hold_no_names():
+    """Build, trim and the quotient hand over alphabet, layers and tables
+    alone: the names enter `vars(s)` only once read."""
+    names = {"initial", "finals", "delta", "gamma"}
+    cases = [*window_cases(100), *((gen_lk_nfa(K), K + 2, 1) for K in range(5))]
+    count = 0
+    for a, k, l in cases:
+        try:
+            built = build_qds(a, k, l)
+        except PreconditionError:
+            continue
+        assert not names & vars(built).keys()
+        trimmed = trim_qds(built)
+        assert not names & vars(trimmed).keys()
+        reduced = quotient(trimmed, equiv_fixpoint(trimmed))
+        assert not names & vars(reduced).keys()
+        reduced.delta, reduced.gamma, reduced.finals, reduced.initial
+        assert names <= vars(reduced).keys()
+        count += 1
+    assert count >= 50
 
 
 def test_stages_are_reference_on_built_structures():

@@ -11,11 +11,17 @@ from qds import (
     minimize_dfa,
     nfa_membership,
     random_nfa,
-    trim_nfa,
 )
+from qds.nfa import Nfa, _restrict, accessible_states, coaccessible_states
 from qds.words import words_up_to
 from tests.conftest import mk_nfa
 from tests.reference_reduction import reference_minimize
+
+
+def trim_nfa(a: Nfa) -> Nfa:
+    """Sub-automaton of accessible-and-coaccessible states; language
+    unchanged, idempotent; may be empty."""
+    return _restrict(a, accessible_states(a) & coaccessible_states(a))
 
 
 def test_delta_word_fork(window4_nfa):

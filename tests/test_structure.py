@@ -1,25 +1,36 @@
 import random
 import re
+from contextlib import contextmanager
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qds import (
     InputError,
     PreconditionError,
     Qds,
     build_qds,
+    determinize,
     dfa_to_qds,
     gen_sk_qds,
     lint_qds,
+    minimize_dfa,
     prune_unreachable,
     qds_membership,
     qds_stats,
+    random_nfa,
 )
-from qds.formats import parse_qds, serialize_qds
+from qds.formats import parse_nfa, parse_qds, serialize_qds
 from qds.structure import format_trace
 from qds.words import words_up_to
+from tests import test_trim
 from tests.conftest import mk_nfa
 from tests.reference_structure import QdsEdge, analyze_path, extended_delta
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def all_shiftable_path_ends(s: Qds, q1: str, w, cap=None):
@@ -296,3 +307,68 @@ def test_qds_validation_errors():
             two_layers(layers=(("p", bad), ("q",)))
         with pytest.raises(InputError, match=re.escape(f"bad symbol token {bad!r}")):
             two_layers(alphabet=("a", bad))
+
+
+# --- the names read off the tables ---------------------------------------
+
+
+@contextmanager
+def constructions():
+    """Every structure `Qds(...)` makes while active, with the name-keyed
+    arguments it was given: (structure, initial, finals, delta, gamma)."""
+    made = []
+    init = Qds.__init__
+
+    def recording(self, alphabet, layers, initial, finals, delta, gamma):
+        finals, delta, gamma = frozenset(finals), dict(delta), dict(gamma)
+        init(self, alphabet, layers, initial, finals, delta, gamma)
+        made.append((self, initial, finals, delta, gamma))
+
+    Qds.__init__ = recording
+    try:
+        yield made
+    finally:
+        Qds.__init__ = init
+
+
+def assert_names_round_trip(made) -> None:
+    """The names read off each structure's tables are the ones it was made
+    from, and `delta` runs in (declared state, declared symbol) order."""
+    assert made
+    for s, initial, finals, delta, gamma in made:
+        assert s.initial == initial
+        assert s.finals == finals and type(s.finals) is frozenset
+        assert s.delta == delta and s.gamma == gamma
+        assert list(s.delta) == sorted(
+            delta, key=lambda e: (s.states.index(e[0]), s.alphabet.index(e[1])))
+
+
+def test_qds_stores_only_its_tables():
+    assert [f.name for f in fields(Qds)] == ["alphabet", "layers", "tables"]
+
+
+def test_names_round_trip_on_parsed_and_embedded_structures(
+        three_state_dfa, window4_nfa, suffix_marker_nfa):
+    texts = [path.read_text() for path in sorted(DATA.glob("*.qds"))]
+    dfas = [three_state_dfa, determinize(window4_nfa), determinize(suffix_marker_nfa)]
+    dfas += [minimize_dfa(determinize(parse_nfa(path.read_text())))
+             for path in sorted(DATA.glob("*.nfa"))]
+    dfas += [determinize(random_nfa(seed, 4, 2, 0.3, 0.4)) for seed in range(10)]
+    with constructions() as made:
+        for text in texts:
+            parse_qds(text)
+        for K in range(7):
+            gen_sk_qds(K)
+        for d in dfas:
+            dfa_to_qds(d)
+    assert len(made) == len(texts) + 7 + len(dfas)
+    assert_names_round_trip(made)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_names_round_trip_on_generated_structures(data):
+    """Bottom targets and shifts up to m included."""
+    with constructions() as made:
+        data.draw(test_trim.structures())
+    assert_names_round_trip(made)

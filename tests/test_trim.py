@@ -23,9 +23,14 @@ from qds import (
 )
 from qds.cli import main
 from qds.formats import parse_automaton, serialize_qds
-from qds.trim import PathDfaState, path_dfa_step
+from qds.trim import PathDfaState
 from qds.words import words_up_to
-from tests.reference_trim import reference_path_dfa, reference_trim, reference_useful
+from tests.reference_trim import (
+    path_dfa_step,
+    reference_path_dfa,
+    reference_trim,
+    reference_useful,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
