@@ -45,7 +45,7 @@ from .structure import (
     qds_membership,
     qds_stats,
 )
-from .trim import PathDfa, UsefulReport, build_path_dfa, compute_useful, trim_qds
+from .trim import PathDfa, build_path_dfa, trim_qds
 
 import types as _types
 

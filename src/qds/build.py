@@ -26,7 +26,8 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
     precomputed step index / step successor. A pair is final when w leads
     from q to a final state. The step table is computed first, so a
     non-(k,l)-unambiguous input fails fast with the offending (state,
-    window) row. With R the source states the state count is
+    window) row; a given table must be for (k,l) and have |Q|*|alphabet|^k
+    rows. With R the source states the state count is
     |R| * (|alphabet|^(k+1)-1)/(|alphabet|-1), and the result equals
     `prune_unreachable` of the construction over every state.
 
@@ -39,15 +40,18 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
         table = step_table(a, k, l)  # raises with a witness row if ambiguous
     elif (table.k, table.l) != (k, l):
         raise PreconditionError("step table was computed for different (k,l)")
+    rows = len(a.alphabet) ** k  # per state
+    if len(table.entries) != len(a.states) * rows:
+        raise PreconditionError(
+            f"step table has {len(table.entries)} rows, not "
+            f"|Q|*|alphabet|^k = {len(a.states)}*{len(a.alphabet)}^{k}")
 
-    initial = next(iter(a.initials))
-    arcs = [(q, e.successor) for (q, _), e in table.entries.items()
-            if e.successor is not None]
-    sources = a.state_order(closure({initial}, arcs))
-    source_ix = {q: i for i, q in enumerate(sources)}
-    ix = {q: i for i, q in enumerate(a.states)}
-    final_mask = sum(1 << ix[q] for q in a.finals)
-    succ, _ = kernels.masks(a)
+    # states are numbers here; row c of the table belongs to state c // rows
+    initial = a.states.index(next(iter(a.initials)))
+    found = sorted(closure({initial}, ((c // rows, t) for c, (_, t) in enumerate(table.entries)
+                                       if t >= 0)))
+    source_ix = {q: i for i, q in enumerate(found)}
+    sources = [a.states[q] for q in found]
     spelled = [[word_str(w) for w in words_of_length(a.alphabet, j)] for j in range(k + 1)]
     # pair (q, w) is named "q|w", as `pair_name` in tests/reference_build.py
     names = [f"{q}|{w}" for level in spelled for q in sources for w in level]
@@ -58,11 +62,12 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
         sizes.pop()
     starts = [0, *accumulate(sizes)]
     width, top = max(len(a.alphabet), 1), starts[-2]
-    finals = [starts[j] + i * len(level) + x
-              for i, q in enumerate(sources)
-              for j, level in enumerate(kernels.fronts(succ, 1 << ix[q], k))
-              for x, f in enumerate(level) if f & final_mask]
-    entries = [table.entries[q, w] for q in sources for w in words_of_length(a.alphabet, k)]
+    _, pred = kernels.masks(a)
+    ends = sum(1 << i for i, q in enumerate(a.states) if q in a.finals)
+    finals = [starts[j] + i * len(level) + c  # w leads from q into the finals
+              for j, level in enumerate(kernels.can_read(pred, ends, k))
+              for i, q in enumerate(found)
+              for c, f in enumerate(level) if f >> q & 1]
     delta = [r * width for r in range(len(sources), starts[-1])]
     delta += [-1] * (starts[-1] * width - len(delta))
     return _trusted_qds(
@@ -70,9 +75,9 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
         tuple(tuple(names[lo:hi]) for lo, hi in zip(starts, starts[1:])),
         QdsTables({x: c for c, x in enumerate(a.alphabet)}, width,
                   source_ix[initial] * width, delta,
-                  [None] * top + [(-1 if e.successor is None
-                                   else source_ix[e.successor] * width, e.index)
-                                  for e in entries],
+                  [None] * top + [(-1 if t < 0 else source_ix[t] * width, j)
+                                  for q in found
+                                  for j, t in table.entries[q * rows:(q + 1) * rows]],
                   frozenset(i * width for i in finals)))
 
 

@@ -15,7 +15,7 @@ from . import build, family, formats, kl, reduction, structure, trim
 from .errors import InputError, QdsError
 from .nfa import Dfa, Nfa, determinize, minimize_dfa, subset_name
 from .structure import Qds
-from .words import word_str
+from .words import word_str, words_of_length
 
 
 def _read_text(path: str) -> str:
@@ -91,9 +91,9 @@ def _cmd_steptable(args) -> int:
     a = _load_nfa(args.file)
     table = kl.step_table(a, args.k, args.l)
     lines = ["state\tword\tindex\tsuccessor"]
-    for (q, w), entry in table.entries.items():
-        succ = "_" if entry.successor is None else entry.successor
-        lines.append(f"{q}\t{word_str(w)}\t{entry.index}\t{succ}")
+    rows = ((q, w) for q in a.states for w in words_of_length(a.alphabet, args.k))
+    for (q, w), (j, t) in zip(rows, table.entries):
+        lines.append(f"{q}\t{word_str(w)}\t{j}\t{'_' if t < 0 else a.states[t]}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -15,7 +15,8 @@ hold the walk to.
 
 `masks` numbers the states and symbols once for every caller; `fronts` and
 `can_read` tabulate, per word in lexicographic rank, the states a word
-leads to and the states that can read it.
+leads to and the states from which it leads into a target set: every state
+for the step table, the finals for the build.
 """
 
 from __future__ import annotations
@@ -73,10 +74,10 @@ def fronts(succ: list[list[int]], start: int, depth: int) -> list[list[int]]:
     return out
 
 
-def can_read(pred: list[list[int]], n: int, depth: int) -> list[list[int]]:
+def can_read(pred: list[list[int]], end: int, depth: int) -> list[list[int]]:
     """can_read[m][c]: the states from which the m-symbol word of
-    lexicographic rank c can be read, for m = 0..depth."""
-    out = [[(1 << n) - 1]]
+    lexicographic rank c leads into the set `end`, for m = 0..depth."""
+    out = [[end]]
     for _ in range(depth):
         out.append([post(b, back) for back in pred for b in out[-1]])
     return out

@@ -29,6 +29,7 @@ Constructions whose size grows with k are checked against SIZE_BUDGET
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import kernels
 from .errors import SIZE_BUDGET, InputError, PreconditionError
@@ -67,9 +68,12 @@ class StepEntry:
 
 @dataclass(frozen=True)
 class StepTable:
+    """Row i*|alphabet|^k + rank(w) holds (step index, step successor's
+    state number or -1) of the i-th state and window w."""
+
     k: int
     l: int
-    entries: dict[tuple[str, Word], StepEntry]
+    entries: list[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -263,7 +267,7 @@ def step(a: Nfa, k: int, l: int, q: str, w) -> StepEntry:
 
 def step_table(a: Nfa, k: int, l: int) -> StepTable:
     """`step` over every (state, window) row, in (state, lexicographic
-    word) order.
+    word) order, with states as numbers.
 
     Entry j of a row is the largest split whose live set, the prefix front
     AND the can-read set of the suffix, has at most one bit; both sets are
@@ -279,29 +283,24 @@ def step_table(a: Nfa, k: int, l: int) -> StepTable:
             f"step table |Q|*|alphabet|^k*k = {n}*{s}^{k}*{k} cells is over "
             f"the size budget {SIZE_BUDGET}"
         )
-    # a negative k reads as k = 0, whose one row `step` refuses
-    words = list(words_of_length(a.alphabet, max(k, 0)))
-    if not words or not 1 <= l <= k:  # `step` refuses the first row, if any
-        entries = {(q, w): step(a, k, l, q, w) for q in a.states for w in words}
-        return StepTable(k=k, l=l, entries=entries)
+    if k >= 1 and not a.alphabet:  # no window to read: no rows
+        return StepTable(k=k, l=l, entries=[])
+    if not 1 <= l <= k:
+        step(a, k, l, a.states[0], ())  # raises: l is outside 1..k
     succ, pred = kernels.masks(a)
-    live_after = kernels.can_read(pred, n, k - 1)
+    live_after = kernels.can_read(pred, (1 << n) - 1, k - 1)
     splits = [(j, s ** (k - j), live_after[k - j]) for j in range(l, 0, -1)]
-    made: dict[tuple[int, int], StepEntry] = {}
-    entries = {}
+    entries = []
     for i, q in enumerate(a.states):
         reached = kernels.fronts(succ, 1 << i, l)
-        for c, w in enumerate(words):
+        for c in range(s ** k):
             for j, cut, live_b in splits:
                 live = reached[j][c // cut] & live_b[c % cut]
                 if not live & (live - 1):  # at most one live state
-                    if (j, live) not in made:  # one entry object per value
-                        survivor = a.states[live.bit_length() - 1] if live else None
-                        made[j, live] = StepEntry(j, survivor)
-                    entries[q, w] = made[j, live]
+                    entries.append((j, live.bit_length() - 1))
                     break
-            else:
-                step(a, k, l, q, w)  # raises: no split disambiguates this row
+            else:  # raises: no split disambiguates this row
+                step(a, k, l, q, next(islice(words_of_length(a.alphabet, k), c, None)))
     return StepTable(k=k, l=l, entries=entries)
 
 

@@ -16,7 +16,6 @@ class number per state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 from .errors import InputError, PreconditionError
@@ -31,10 +30,6 @@ class LayeredPartition:
 
     layers: tuple[tuple[frozenset[str], ...], ...]
     steps: int
-
-    @cached_property
-    def class_of(self) -> dict[str, frozenset[str]]:
-        return {q: cls for layer in self.layers for cls in layer for q in cls}
 
     @property
     def is_identity(self) -> bool:

@@ -12,9 +12,8 @@ The walk runs on `Qds.tables` with nodes (row offset, u codes, v codes) and
 tries only the tokens that can fire: a top-layer node its gamma shift, an
 inner node the column v[|u|] while v is unpaid, else every delta column.
 The useful parts come back as marks on the tables, which `restrict_qds`
-cuts the structure down with; names return only in `compute_useful`'s
-report. `path_dfa_step` in tests/reference_trim.py restates one step off
-the definition, as the tests' oracle.
+cuts the structure down with. `path_dfa_step` in tests/reference_trim.py
+restates one step off the definition, as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -130,18 +129,6 @@ def build_path_dfa(s: Qds) -> PathDfa:
     return PathDfa(s, PathDfaState(s.initial, (), ()), nodes, final_ids, edge_src, edge_dst)
 
 
-@dataclass(frozen=True)
-class UsefulReport:
-    """Components of a QDS lying on some successful path (the initial state
-    is always retained; its finality survives iff it is final, witnessed by
-    the empty successful path)."""
-
-    useful_states: frozenset[str]
-    useful_delta: frozenset[tuple[str, str, str]]
-    useful_gamma: frozenset[tuple[str, int, str]]
-    useful_finalities: frozenset[str]
-
-
 def _useful_marks(s: Qds) -> tuple[bytearray, bytearray, bytearray, bytearray]:
     """(useful states, useful delta slots, useful gamma entries, useful
     finalities) of `s` as marks on its tables, for `restrict_qds`: a
@@ -181,23 +168,6 @@ def _useful_marks(s: Qds) -> tuple[bytearray, bytearray, bytearray, bytearray]:
     if t.initial in t.finals:
         final[t.initial // width] = 1  # the empty path is successful
     return keep, delta_used, gamma_used, final
-
-
-def compute_useful(s: Qds) -> UsefulReport:
-    """Usefulness read off the path-DFA, lifted to names."""
-    keep, delta_used, gamma_used, final = _useful_marks(s)
-    names, sym, t = s.states, s.alphabet, s.tables
-    width = t.width
-    return UsefulReport(
-        useful_states=frozenset(compress(names, keep)),
-        useful_delta=frozenset(
-            (names[x // width], sym[x % width], names[t.delta[x] // width])
-            for x in compress(range(len(delta_used)), delta_used)),
-        useful_gamma=frozenset(
-            (names[i], t.gamma[i][1], names[t.gamma[i][0] // width])
-            for i in compress(range(len(gamma_used)), gamma_used)),
-        useful_finalities=frozenset(compress(names, final)),
-    )
 
 
 def trim_qds(s: Qds) -> Qds:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Container, Iterable, Mapping
 
-from qds.errors import PreconditionError
-from qds.kl import StepTable, step_table
+from qds.kl import step
 from qds.nfa import Nfa, closure, delta_word
 from qds.structure import GammaEntry, Qds
 from qds.words import Word, word_str, words_of_length
@@ -26,22 +25,23 @@ def pair_name(q: str, w: Word) -> str:
     return f"{q}|{word_str(w)}"
 
 
-def reference_build(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
+def reference_build(a: Nfa, k: int, l: int) -> Qds:
     """The QDS associated with a (k,l)-unambiguous automaton.
 
     Layer j holds a state (q, w) for every source state q and every word w
     of length j-1; delta appends one symbol, and gamma on the full windows
-    applies the precomputed step index / step successor. The step table is
-    computed first, so a non-(k,l)-unambiguous input fails fast with the
-    offending (state, window) row. Unreachable pairs are kept: the state
-    count is exactly |Q| * (|alphabet|^(k+1)-1)/(|alphabet|-1); use
-    `prune_unreachable` afterwards.
+    applies the step index / step successor that `step` gives for the row,
+    so the oracle reads no step table. A non-(k,l)-unambiguous input fails
+    with the first offending (state, window) row. Unreachable pairs are
+    kept: the state count is exactly |Q| * (|alphabet|^(k+1)-1)/(|alphabet|-1);
+    use `prune_unreachable` afterwards.
     """
-    if table is None:
-        table = step_table(a, k, l)  # raises with a witness row if ambiguous
-    elif (table.k, table.l) != (k, l):
-        raise PreconditionError("step table was computed for different (k,l)")
-
+    gamma: dict[str, GammaEntry] = {}
+    for q in a.states:  # first, so a bad row fails before anything is built
+        for w in words_of_length(a.alphabet, k):
+            entry = step(a, k, l, q, w)
+            target = pair_name(entry.successor, ()) if entry.successor is not None else None
+            gamma[pair_name(q, w)] = (target, entry.index)
     layers = tuple(
         tuple(
             pair_name(q, w)
@@ -64,10 +64,6 @@ def reference_build(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Q
                 if j < k:
                     for sym in a.alphabet:
                         delta[(pair_name(q, w), sym)] = pair_name(q, w + (sym,))
-    gamma: dict[str, GammaEntry] = {}
-    for (q, w), entry in table.entries.items():
-        target = pair_name(entry.successor, ()) if entry.successor is not None else None
-        gamma[pair_name(q, w)] = (target, entry.index)
     return Qds(
         alphabet=a.alphabet,
         layers=layers,

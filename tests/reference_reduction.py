@@ -177,10 +177,12 @@ def verify_right_invariant(s: Qds, p: LayeredPartition) -> RightInvariantResult:
         if members != set(layer):
             raise InputError(f"partition does not cover layer {j + 1} exactly")
 
+    class_of = {q: cls for layer in p.layers for cls in layer for q in cls}
+
     def same(a: str | None, b: str | None) -> bool:
         if a is None or b is None:
             return a is b
-        return p.class_of[a] == p.class_of[b]
+        return class_of[a] == class_of[b]
 
     for j, classes in enumerate(p.layers, start=1):
         for cls in classes:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from qds.nfa import closure
 from qds.structure import Qds
-from qds.trim import PathDfaState, Token, UsefulReport
+from qds.trim import PathDfaState, Token
 from qds.words import Word
 from tests.reference_build import restrict_qds
 
@@ -88,6 +88,18 @@ def reference_path_dfa(s: Qds) -> ReferencePathDfa:
         finals=frozenset(p for p in order if _is_final(s, p)),
         transitions=transitions,
     )
+
+
+@dataclass(frozen=True)
+class UsefulReport:
+    """Components of a QDS lying on some successful path (the initial state
+    is always retained; its finality survives iff it is final, witnessed by
+    the empty successful path)."""
+
+    useful_states: frozenset[str]
+    useful_delta: frozenset[tuple[str, str, str]]
+    useful_gamma: frozenset[tuple[str, int, str]]
+    useful_finalities: frozenset[str]
 
 
 def reference_useful(s: Qds) -> UsefulReport:

@@ -14,7 +14,7 @@ from qds import (
 )
 from qds.formats import parse_nfa, serialize_qds
 from qds.nfa import closure
-from qds.words import words_up_to
+from qds.words import words_of_length, words_up_to
 from tests.conftest import mk_nfa, window_cases
 from tests.reference_build import reference_build
 
@@ -26,8 +26,9 @@ def suffix_qds(suffix_marker_nfa):
 
 def sources(a, k, l):
     """The initial state and every step successor reachable from it."""
-    arcs = [(q, e.successor) for (q, _), e in step_table(a, k, l).entries.items()
-            if e.successor is not None]
+    rows = [(q, w) for q in a.states for w in words_of_length(a.alphabet, k)]
+    arcs = [(q, a.states[t]) for (q, _), (_, t) in zip(rows, step_table(a, k, l).entries)
+            if t >= 0]
     return closure(a.initials, arcs)
 
 
@@ -128,6 +129,15 @@ def test_build_rejects_stale_table(suffix_marker_nfa):
     table = step_table(suffix_marker_nfa, 3, 3)
     with pytest.raises(PreconditionError):
         build_qds(suffix_marker_nfa, 3, 1, table=table)
+
+
+def test_build_rejects_table_of_another_automaton(three_state_dfa):
+    """A table with the right (k,l) but not |Q|*|alphabet|^k rows is
+    refused before any row is read."""
+    two = mk_nfa("ab", ["0", "1"], ["0"], ["1"], [("0", "a", "1")])
+    for a, b in ((two, three_state_dfa), (three_state_dfa, two)):
+        with pytest.raises(PreconditionError, match="rows"):
+            build_qds(a, 1, 1, step_table(b, 1, 1))
 
 
 def test_build_dfa_small_window(three_state_dfa):

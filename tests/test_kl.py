@@ -271,32 +271,35 @@ def test_step_errors(suffix_marker_nfa, ambiguous_loop_nfa):
 def test_step_table_shape(suffix_marker_nfa, three_state_dfa):
     t = step_table(suffix_marker_nfa, 3, 3)
     assert len(t.entries) == 3 * 8
-    assert all(e.successor in ("1", None) for e in t.entries.values())
+    one = suffix_marker_nfa.states.index("1")
+    assert all(succ in (one, -1) for _, succ in t.entries)
     t1 = step_table(three_state_dfa, 1, 1)
     assert len(t1.entries) == 3 * 2
-    for (q, w), e in t1.entries.items():
-        succ = three_state_dfa.step(q, w[0])
-        assert e == StepEntry(1, succ)
+    rows = [(q, w) for q in three_state_dfa.states for w in words_of_length("ab", 1)]
+    for (q, w), (j, succ) in zip(rows, t1.entries, strict=True):
+        name = None if succ < 0 else three_state_dfa.states[succ]
+        assert StepEntry(j, name) == StepEntry(1, three_state_dfa.step(q, w[0]))
 
 
 def _rows_or_error(tabulate):
     try:
-        return list(tabulate().items())
+        return list(tabulate())
     except QdsError as exc:
         return type(exc), str(exc)
 
 
 def test_step_table_is_step_on_every_row():
-    """The bitmask table equals `step` row by row, in the same order, and a
-    table with a bad row raises the error `step` raises on the first one."""
+    """The bitmask table equals `step` row by row, in (state, word) order,
+    with states as numbers, and a table with a bad row raises the error
+    `step` raises on the first one."""
     clean = 0
     for a, k, l in window_cases(600):
         got = _rows_or_error(lambda: step_table(a, k, l).entries)
-        want = _rows_or_error(lambda: {
-            (q, w): step(a, k, l, q, w)
-            for q in a.states
-            for w in words_of_length(a.alphabet, k)
-        })
+        want = _rows_or_error(lambda: [
+            (e.index, -1 if e.successor is None else a.states.index(e.successor))
+            for e in (step(a, k, l, q, w)
+                      for q in a.states for w in words_of_length(a.alphabet, k))
+        ])
         assert got == want, (a, k, l)
         clean += isinstance(got, list)
     assert clean >= 300

@@ -10,7 +10,6 @@ from qds import (
     accessible_part,
     build_path_dfa,
     build_qds,
-    compute_useful,
     dfa_to_qds,
     exists_kl,
     find_minimal_kl,
@@ -86,28 +85,37 @@ def test_path_dfa_shift_rule(trim_demo_qds):
 # --- usefulness -----------------------------------------------------------
 
 
+def kept(s):
+    """`trim_qds(s)` as (states, delta edges, gamma edges with a target,
+    finals): what the path-DFA found useful."""
+    t = trim_qds(s)
+    return (set(t.states), {(p, x, q) for (p, x), q in t.delta.items()},
+            {(p, shift, q) for p, (q, shift) in t.gamma.items() if q is not None},
+            set(t.finals))
+
+
 def test_useful_report_demo(trim_demo_qds):
-    rep = compute_useful(trim_demo_qds)
-    assert rep.useful_states == {"1", "2", "3", "4", "5", "6"}
-    assert ("2", "c", "3") not in rep.useful_delta
-    assert ("2", "b", "3") in rep.useful_delta
-    assert "5" not in rep.useful_finalities
-    assert rep.useful_finalities == {"2", "6"}
-    assert rep.useful_gamma == {("3", 1, "4"), ("6", 1, "4")}
+    states, delta, gamma, finals = kept(trim_demo_qds)
+    assert states == {"1", "2", "3", "4", "5", "6"}
+    assert ("2", "c", "3") not in delta
+    assert ("2", "b", "3") in delta
+    assert "5" not in finals
+    assert finals == {"2", "6"}
+    assert gamma == {("3", 1, "4"), ("6", 1, "4")}
 
 
 def test_useful_dead_lane(dead_lane_qds):
-    rep = compute_useful(dead_lane_qds)
-    assert rep.useful_states == {"1", "2"}
-    assert rep.useful_delta == {("1", "a", "2")}
-    assert rep.useful_finalities == {"2"}
-    assert rep.useful_gamma == set()
+    states, delta, gamma, finals = kept(dead_lane_qds)
+    assert states == {"1", "2"}
+    assert delta == {("1", "a", "2")}
+    assert finals == {"2"}
+    assert gamma == set()
 
 
 def test_useful_initial_always_kept():
     s = mk_trivial_reject()
-    rep = compute_useful(s)
-    assert "p" in rep.useful_states
+    states, _, _, _ = kept(s)
+    assert "p" in states
 
 
 def mk_trivial_reject():
@@ -134,8 +142,8 @@ def test_useful_initial_finality_survives():
         delta={},
         gamma={"q": (None, 1)},
     )
-    rep = compute_useful(s)
-    assert "p" in rep.useful_finalities
+    _, _, _, finals = kept(s)
+    assert "p" in finals
     t = trim_qds(s)
     assert qds_membership(t, "").accepted
 
@@ -331,7 +339,9 @@ def data_corpus():
 
 def assert_walk_is_reference(s):
     assert serialize_qds(trim_qds(s)) == serialize_qds(reference_trim(s))
-    assert compute_useful(s) == reference_useful(s)
+    useful = reference_useful(s)
+    assert kept(s) == (useful.useful_states, useful.useful_delta, useful.useful_gamma,
+                       useful.useful_finalities)
     pdfa, ref = build_path_dfa(s), reference_path_dfa(s)
     assert tuple(pdfa.states) == ref.states and len(pdfa.states) == len(ref.states)
     assert pdfa.initial == ref.initial and pdfa.finals == ref.finals
