@@ -283,10 +283,10 @@ def step_table(a: Nfa, k: int, l: int) -> StepTable:
             f"step table |Q|*|alphabet|^k*k = {n}*{s}^{k}*{k} cells is over "
             f"the size budget {SIZE_BUDGET}"
         )
-    if k >= 1 and not a.alphabet:  # no window to read: no rows
-        return StepTable(k=k, l=l, entries=[])
     if not 1 <= l <= k:
         step(a, k, l, a.states[0], ())  # raises: l is outside 1..k
+    if not a.alphabet:  # no window to read: no rows
+        return StepTable(k=k, l=l, entries=[])
     succ, pred = kernels.masks(a)
     live_after = kernels.can_read(pred, (1 << n) - 1, k - 1)
     splits = [(j, s ** (k - j), live_after[k - j]) for j in range(l, 0, -1)]

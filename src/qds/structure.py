@@ -226,41 +226,55 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
     """Iterative windowed membership test.
 
     Encodes the word once through `Qds.tables` (which also rejects unknown
-    symbols) and walks the codes with an index cursor, so the working space
-    is one encoded copy of the input plus O(1); no window is copied. `reads`
-    counts every symbol handed to delta, the one that hits bottom included,
-    for checking the k*ceil(|w|/s) time bound.
+    symbols before any is read), then walks each window over a k-slice of
+    the codes, one subscript ``delta[state + code]`` per read. The working
+    space is the encoded copy of the input plus O(k). `reads` counts every
+    symbol handed to delta, the one that hits bottom included, for checking
+    the k*ceil(|w|/s) + k time bound: a window that survives adds its
+    length, and the one window that hits bottom, which ends the run, is
+    walked again with a counter.
     """
-    w = as_word(w)
     t = s.tables
+    if want_trace or not isinstance(w, (str, tuple, list)):
+        w = as_word(w)
     try:
-        codes = [t.code[sym] for sym in w]
+        codes = list(map(t.code.__getitem__, w))
     except KeyError as exc:
         raise InputError(f"unknown symbol {exc.args[0]!r}") from None
-    delta, gamma, width, k, n = t.delta, t.gamma, t.width, s.window, len(codes)
+    delta, gamma, width, k = t.delta, t.gamma, t.width, s.window
+    last = len(codes) - k  # a window starting here or later is the last one
     steps: list[TraceStep] = []
     reads = shifts = 0
-    terminal = -1
     current, start = t.initial, 0
-    while current >= 0:
-        stop = min(start + k, n)
-        state, cursor = current, stop
-        for i in range(start, stop):
-            state = delta[state + codes[i]]
+    while True:
+        window = codes[start:start + k]
+        state = current
+        for c in window:
+            state = delta[state + c]
             if state < 0:
-                cursor = i + 1  # the symbol that hit bottom was read too
                 break
-        reads += cursor - start
-        if n - start <= k:  # the last window, possibly partial: no gamma
-            terminal, target, shift = state, -1, 0
         else:
-            target, shift = gamma[state // width] if state >= 0 else (-1, 0)
+            reads += len(window)
+        if state < 0:  # bottom: count up to the symbol that hit it
+            state = current
+            for i, c in enumerate(window, 1):
+                state = delta[state + c]
+                if state < 0:
+                    break
+            reads += i
+            target, shift = -1, 0
+        elif start >= last:  # the last window, possibly partial: no gamma
+            target, shift = -1, 0
+        else:
+            target, shift = gamma[state // width]
         if want_trace:
-            steps.append(TraceStep(start, s.states[current // width], w[start:stop],
+            steps.append(TraceStep(start, s.states[current // width], w[start:start + k],
                                    shift if target >= 0 else None))
-        if target >= 0:
-            shifts += 1
+        if target < 0:
+            break
+        shifts += 1
         current, start = target, start + shift
+    terminal = state if start >= last else -1
     name = s.states[terminal // width] if terminal >= 0 else None
     return MembershipResult(
         accepted=terminal in t.finals,

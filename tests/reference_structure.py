@@ -1,37 +1,22 @@
 """The structure's definitions on the string-keyed maps: the extended
-transition function and the shiftable/successful path classification.
+transition function with its read and shift counts, and the
+shiftable/successful path classification.
 
 The library recognises words on `Qds.tables` (`qds.structure.qds_membership`)
 and trims through the path-DFA (`qds.trim`). These restate the paper's
 definitions straight on `Qds.delta` and `Qds.gamma`, as the oracles the
-tests hold those to: `extended_delta` must agree with `qds_membership`, and
+tests hold those to: `counted_run` must agree with `qds_membership`, and
 `analyze_path` decides which edge sequences the path-DFA must accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from qds.errors import InputError, PreconditionError
 from qds.structure import Qds
 from qds.words import Word, as_word
-
-
-def step(s: Qds, state: str | None, symbol: str) -> str | None:
-    """Bottom-absorbing one-symbol delta (bottom on top-layer states)."""
-    if symbol not in s.alphabet:
-        raise InputError(f"unknown symbol {symbol!r}")
-    if state is None:
-        return None
-    return s.delta.get((state, symbol))
-
-
-def chain(s: Qds, state: str | None, w: Iterable[str]) -> str | None:
-    """Bottom-absorbing delta over a word of length <= window."""
-    for sym in as_word(w):
-        state = step(s, state, sym)
-    return state
 
 
 @dataclass(frozen=True)
@@ -55,27 +40,53 @@ class PathAnalysis:
     label: Word | None  # defined only when shiftable
 
 
-def extended_delta(s: Qds, q: str, w: Iterable[str]) -> str | None:
-    """The extended transition function, straight from its recursive
-    definition but run as a loop over windows.
+class Run(NamedTuple):
+    """What a run of the extended transition function costs and where it
+    stops."""
+
+    terminal: str | None
+    reads: int    # symbols handed to delta, the one that hits bottom included
+    shifts: int   # gamma edges taken to a real target
+    end: str      # "delta" or "gamma" bottom, or a "full" or "partial" last window
+
+
+def counted_run(s: Qds, q: str, w: Iterable[str]) -> Run:
+    """The extended transition function from `q`, straight from its
+    recursive definition but run as a loop over windows, counting its work.
 
     A word no longer than the window runs through delta alone; a longer one
     consults gamma on the image of its first window and continues from the
-    target on the shifted rest. It reads the string-keyed maps through
-    `chain`, never `Qds.tables`, so it stays an independent oracle for
-    `qds_membership`; the two must agree.
+    target on the shifted rest. It reads the string-keyed maps, never
+    `Qds.tables`, so it stays an independent oracle for `qds_membership`:
+    the two must agree on the terminal state, the reads and the shifts.
     """
     if s.layer_of.get(q) != 1:
         raise PreconditionError(f"state {q!r} is not a layer-1 state")
     w = as_word(w)
-    start = 0
-    while len(w) - start > s.window:
-        top = chain(s, q, w[start:start + s.window])
-        target, shift = s.gamma[top] if top is not None else (None, 1)
+    for sym in w:
+        if sym not in s.alphabet:
+            raise InputError(f"unknown symbol {sym!r}")
+    reads = shifts = start = 0
+    while True:
+        window = w[start:start + s.window]
+        state: str | None = q
+        for sym in window:
+            state = s.delta.get((state, sym))
+            reads += 1
+            if state is None:
+                return Run(None, reads, shifts, "delta")
+        if len(w) - start <= s.window:
+            return Run(state, reads, shifts, "full" if len(window) == s.window else "partial")
+        target, shift = s.gamma[state]
         if target is None:
-            return None
-        q, start = target, start + shift
-    return chain(s, q, w[start:])
+            return Run(None, reads, shifts, "gamma")
+        q, start, shifts = target, start + shift, shifts + 1
+
+
+def extended_delta(s: Qds, q: str, w: Iterable[str]) -> str | None:
+    """The extended transition function: the terminal state of
+    `counted_run`, None for bottom."""
+    return counted_run(s, q, w).terminal
 
 
 def _validate_edges(s: Qds, edges: tuple[QdsEdge, ...]) -> None:

@@ -72,6 +72,18 @@ def test_check_bad_params_exit_2(w4_file, capsys):
             assert err == f"error: need 1 <= l <= k, got k={k}, l={l}\n", cmd
 
 
+def test_steptable_empty_alphabet_bad_params_exit_2(tmp_path, capsys):
+    """An automaton without symbols has no window to read, yet l outside
+    1..k is refused as on any other automaton."""
+    p = tmp_path / "empty.nfa"
+    p.write_text(serialize_nfa(mk_nfa("", ["0"], ["0"], ["0"], [])))
+    assert main(["steptable", "--k", "2", "--l", "5", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: need 1 <= l <= k, got k=2, l=5\n"
+    assert main(["steptable", "--k", "2", "--l", "1", str(p)]) == 0
+    assert capsys.readouterr().out == "state\tword\tindex\tsuccessor\n"
+
+
 def test_exists(w4_file, no_pair_file, capsys):
     assert main(["exists", w4_file]) == 0
     capsys.readouterr()

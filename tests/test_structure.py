@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -15,20 +16,24 @@ from qds import (
     build_qds,
     determinize,
     dfa_to_qds,
+    equiv_fixpoint,
+    gen_lk_nfa,
     gen_sk_qds,
     lint_qds,
     minimize_dfa,
     prune_unreachable,
     qds_membership,
     qds_stats,
+    quotient,
     random_nfa,
+    trim_qds,
 )
 from qds.formats import parse_nfa, parse_qds, serialize_qds
 from qds.structure import format_trace
 from qds.words import words_up_to
 from tests import test_trim
-from tests.conftest import mk_nfa
-from tests.reference_structure import QdsEdge, analyze_path, extended_delta
+from tests.conftest import mk_nfa, window_cases
+from tests.reference_structure import QdsEdge, analyze_path, counted_run, extended_delta
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -108,15 +113,11 @@ def test_membership_matches_extended_delta_everywhere(two_lane_qds, three_state_
     structures.append(gen_sk_qds(2))
     rng = random.Random(11)
     for s in structures:
-        for w in words_up_to(s.alphabet, 12 if len(s.alphabet) < 3 else 7):
+        # long words: the definition runs as a loop, so no recursion limit
+        long = [tuple(rng.choice(s.alphabet) for _ in range(20_000)) for _ in range(3)]
+        for w in [*words_up_to(s.alphabet, 12 if len(s.alphabet) < 3 else 7), *long]:
             r = qds_membership(s, w)
-            assert r.terminal == extended_delta(s, s.initial, w)
-            assert r.accepted == (r.terminal in s.finals if r.terminal else False)
-        # long words: extended_delta runs as a loop, so no recursion limit
-        for _ in range(3):
-            w = tuple(rng.choice(s.alphabet) for _ in range(20_000))
-            r = qds_membership(s, w)
-            assert r.terminal == extended_delta(s, s.initial, w)
+            assert (r.terminal, r.reads, r.shifts) == counted_run(s, s.initial, w)[:3]
             assert r.accepted == (r.terminal in s.finals if r.terminal else False)
 
 
@@ -157,6 +158,85 @@ def test_reads_bound(two_lane_qds, three_state_dfa):
             r = qds_membership(s, w)
             bound = s.window * (-(-len(w) // min_shift)) + s.window
             assert r.reads <= bound
+
+
+def count_corpus():
+    """The data structures, S_1..S_5, and seeded random NFAs compiled at
+    every stage: as built, pruned, trimmed and reduced."""
+    for path in sorted(DATA.glob("*.qds")):
+        yield parse_qds(path.read_text())
+    for K in range(1, 6):
+        yield gen_sk_qds(K)
+    for a, k, l in window_cases(60):
+        try:
+            s = build_qds(a, k, l)
+        except PreconditionError:
+            continue
+        pruned = prune_unreachable(s)
+        trimmed = trim_qds(pruned)
+        yield from (s, pruned, trimmed, quotient(trimmed, equiv_fixpoint(trimmed)))
+
+
+def count_words(s: Qds, rng: random.Random):
+    """The empty word, random words up to three windows and two long ones,
+    every prefix of a word grown while its run lives, and each such prefix
+    with the symbol that kills it."""
+    if not s.alphabet:
+        return [()]
+    words = [tuple(rng.choice(s.alphabet) for _ in range(n))
+             for n in [*range(3 * s.m + 3)] * 2 + [500, 5_000]]
+    live: tuple = ()
+    for _ in range(3 * s.m + 3):
+        words.append(live)
+        longer = [live + (a,) for a in s.alphabet]
+        alive = [w for w in longer if counted_run(s, s.initial, w).terminal is not None]
+        words += [w for w in longer if w not in alive]
+        if not alive:
+            break
+        live = rng.choice(alive)
+    return words
+
+
+def test_membership_counts_match_reference():
+    """Accepted, terminal, reads and shifts are exactly the definition's, on
+    the word as a str, a tuple and an iterator."""
+    rng = random.Random(16)
+    ends = set()
+    structures = 0
+    for s in count_corpus():
+        structures += 1
+        for w in count_words(s, rng):
+            want = counted_run(s, s.initial, w)
+            # each window before the last is read whole, k symbols
+            mid = want.end == "delta" and want.reads - s.window * want.shifts < s.window
+            ends.add("empty" if not w else "mid-window" if mid else want.end)
+            forms = [w, iter(w)] + (["".join(w)] if all(len(a) == 1 for a in w) else [])
+            for form in forms:
+                r = qds_membership(s, form)
+                assert (r.accepted, r.terminal, r.reads, r.shifts) == (
+                    want.terminal in s.finals, want.terminal, want.reads, want.shifts), (s, w)
+    assert structures >= 100
+    assert ends == {"empty", "mid-window", "delta", "gamma", "full", "partial"}
+
+
+def peak_alloc(s: Qds, w) -> int:
+    tracemalloc.start()
+    try:
+        qds_membership(s, w)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_membership_space_is_the_encoded_copy():
+    """From 4,096 to 65,536 symbols the peak allocation of one call grows by
+    the encoded copy alone: 8 B a code, plus at most 1/8 list growth slack."""
+    for s in (gen_sk_qds(4), prune_unreachable(build_qds(gen_lk_nfa(3), 5, 1))):
+        for form in (str, tuple):
+            short, long = (form("ab" * (n // 2)) for n in (4_096, 65_536))
+            assert qds_membership(s, long).reads >= len(long)  # the run reads it all
+            growth = peak_alloc(s, long) - peak_alloc(s, short)
+            assert growth <= 9 * (len(long) - len(short)) + 4_096, (form, growth)
 
 
 def test_trace_renders(two_lane_qds):
