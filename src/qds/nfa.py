@@ -180,6 +180,7 @@ def refine(
     before, is the first pass that changes nothing.
     """
     block = [-1] * (len(key) + 1)  # block[-1] stays -1: bottom reads -1
+    current = block.__getitem__
     count, passes = -1, 0
     while True:
         passes += 1
@@ -187,7 +188,7 @@ def refine(
         for group in groups:
             # all signatures before any write: a state's successors may sit
             # in its own group
-            sigs = [(key[q], *[block[t] for t in succ[q]]) for q in group]
+            sigs = [(key[q], *map(current, succ[q])) for q in group]
             ids: dict[tuple, int] = {}
             for q, sig in zip(group, sigs):
                 block[q] = ids.setdefault(sig, total + len(ids))

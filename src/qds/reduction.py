@@ -16,6 +16,7 @@ class number per state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 from .errors import InputError, PreconditionError
@@ -23,17 +24,34 @@ from .nfa import refine, subset_name, subset_names
 from .structure import Qds, QdsTables, _trusted_qds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LayeredPartition:
     """Per-layer partition into classes, plus the refinement step at which
-    the chain became stationary."""
+    the chain became stationary.
+
+    One made by `equiv_fixpoint` carries the class number of each state of
+    the structure it came from, classes numbered in layer order and by
+    first member within a layer, and builds the name sets of `layers` only
+    when they are read. The right-invariance check and the quotient read
+    those numbers on that structure alone."""
 
     layers: tuple[tuple[frozenset[str], ...], ...]
     steps: int
 
-    @property
-    def is_identity(self) -> bool:
-        return all(len(cls) == 1 for layer in self.layers for cls in layer)
+    def __init__(self, layers, steps: int) -> None:
+        vars(self).update(layers=tuple(layers), steps=steps, _numbers=None)
+
+    @cached_property
+    def layers(self) -> tuple[tuple[frozenset[str], ...], ...]:
+        source, cid = self._numbers
+        out, lo = [], 0
+        for layer in source:
+            classes: dict[int, list[str]] = {}
+            for q, c in zip(layer, cid[lo:lo + len(layer)]):
+                classes.setdefault(c, []).append(q)
+            out.append(tuple(frozenset(c) for c in classes.values()))
+            lo += len(layer)
+        return tuple(out)
 
 
 def equiv_fixpoint(s: Qds) -> LayeredPartition:
@@ -45,7 +63,8 @@ def equiv_fixpoint(s: Qds) -> LayeredPartition:
     its finality (none on layer 1) and its successors the delta row. On the
     first pass layer 1 has no classes yet, so the top ignores gamma targets,
     as the chain's base step does: `steps` is the passes after the first
-    that still split a class. Classes are ordered by first member.
+    that still split a class. Classes are ordered by first member, and the
+    partition carries refine's classes renumbered in that order.
     """
     t, m = s.tables, s.m
     w = t.width
@@ -61,13 +80,14 @@ def equiv_fixpoint(s: Qds) -> LayeredPartition:
         succ.append([target // w])
     groups = [range(starts[j], starts[j + 1]) for j in reversed(range(m))]
     block, passes = refine(key, succ, groups)
-    layers = []
-    for layer, lo in zip(s.layers, starts):
-        classes: dict[int, list[str]] = {}
-        for i, q in enumerate(layer, lo):
-            classes.setdefault(block[i], []).append(q)
-        layers.append(tuple(frozenset(c) for c in classes.values()))
-    return LayeredPartition(layers=tuple(layers), steps=passes - 2)
+    # no class spans two layers, so first members in state order are the
+    # classes in layer order
+    number = {b: c for c, b in enumerate(dict.fromkeys(block))}
+    cid = [number[b] for b in block]
+    cid.append(-1)  # bottom
+    p = object.__new__(LayeredPartition)  # its name sets are built when read
+    vars(p).update(steps=passes - 2, _numbers=(s.layers, cid))
+    return p
 
 
 @dataclass(frozen=True)
@@ -89,34 +109,47 @@ def verify_right_invariant(s: Qds, p: LayeredPartition) -> RightInvariantResult:
 
 
 def _class_rows(s: Qds, p: LayeredPartition):
-    """(verdict, classes in order, number of each class's least member,
-    class number per state with -1 at index -1 for bottom), on `Qds.tables`."""
-    if len(p.layers) != s.m:
-        raise InputError("partition layer count does not match the structure")
-    for j, (classes, layer) in enumerate(zip(p.layers, s.layers)):
-        members = set().union(*classes) if classes else set()
-        if members != set(layer):
-            raise InputError(f"partition does not cover layer {j + 1} exactly")
-    t, ix = s.tables, {q: i for i, q in enumerate(s.states)}
-    w, top = t.width, len(ix) - len(s.layers[-1])
-    classes = [cls for layer in p.layers for cls in layer]
-    cid = [-1] * (len(ix) + 1)
-    for c, cls in enumerate(classes):
-        for q in cls:
-            cid[ix[q]] = c
+    """(verdict, classes in order as collections of names, number of each
+    class's least member, class number per state with -1 at index -1 for
+    bottom), on `Qds.tables`. A partition `equiv_fixpoint` made of this
+    structure hands over its class numbers; any other one is checked against
+    the layers and numbered from its names."""
+    names = s.states
+    if p._numbers is not None and p._numbers[0] is s.layers:
+        cid = p._numbers[1]
+        members: list[list[int]] = [[] for _ in range(max(cid) + 1)]
+        for i, c in enumerate(cid[:-1]):
+            members[c].append(i)
+        classes: list = [[names[i] for i in mem] for mem in members]
+    else:
+        if len(p.layers) != s.m:
+            raise InputError("partition layer count does not match the structure")
+        for j, (layer_classes, layer) in enumerate(zip(p.layers, s.layers)):
+            covered = set().union(*layer_classes) if layer_classes else set()
+            if covered != set(layer):
+                raise InputError(f"partition does not cover layer {j + 1} exactly")
+        ix = {q: i for i, q in enumerate(names)}
+        classes = [cls for layer in p.layers for cls in layer]
+        members = [[ix[q] for q in cls] for cls in classes]
+        cid = [-1] * (len(names) + 1)
+        for c, mem in enumerate(members):
+            for i in mem:
+                cid[i] = c
+    t = s.tables
+    w, top = t.width, len(names) - len(s.layers[-1])
     # a state's row: its successors' classes, or (shift, target class) on top
     rows: list[object] = [[cid[r // w] for r in t.delta[i * w:i * w + w]] for i in range(top)]
     rows += [(shift, cid[target // w]) for target, shift in t.gamma[top:]]
-    reps = [ix[min(cls)] for cls in classes]
-    for cls, r in zip(classes, reps):
+    reps = [min(mem, key=names.__getitem__) for mem in members]
+    for mem, r in zip(members, reps):
         want = rows[r]
-        odd = [q for q in cls if rows[ix[q]] != want]
+        odd = [i for i in mem if rows[i] != want]
         if odd:
-            q = min(odd)
-            got = rows[ix[q]]
+            i = min(odd, key=names.__getitem__)
+            got = rows[i]
             tag = got[0] if r >= top else s.alphabet[
                 next(c for c, (x, y) in enumerate(zip(want, got)) if x != y)]
-            return RightInvariantResult(False, (s.states[r], q, tag)), classes, reps, cid
+            return RightInvariantResult(False, (names[r], names[i], tag)), classes, reps, cid
     return RightInvariantResult(True, None), classes, reps, cid
 
 

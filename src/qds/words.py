@@ -40,10 +40,11 @@ def words_up_to(alphabet: Iterable[str], max_length: int) -> Iterator[Word]:
 
 def word_str(w: Iterable[str]) -> str:
     """Printable form: symbols joined bare when single-char, dot-joined
-    otherwise; the empty word prints as ``_``."""
+    otherwise; the empty word prints as ``_``. Symbols are never empty
+    (`check_token`), so the bare join is exactly as long as the word iff
+    every symbol is one character."""
     w = tuple(w)
-    if not w:
-        return "_"
-    if all(len(sym) == 1 for sym in w):
-        return "".join(w)
+    bare = "".join(w)
+    if len(bare) == len(w):
+        return bare or "_"
     return ".".join(w)

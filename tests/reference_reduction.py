@@ -84,6 +84,11 @@ def reference_fixpoint(s: Qds) -> LayeredPartition:
         steps += 1
 
 
+def is_identity(p: LayeredPartition) -> bool:
+    """Every class of `p` is a single state."""
+    return all(len(cls) == 1 for layer in p.layers for cls in layer)
+
+
 def identity_partition(s: Qds) -> LayeredPartition:
     return LayeredPartition(
         layers=tuple(tuple(frozenset({q}) for q in layer) for layer in s.layers),

@@ -16,6 +16,7 @@ from qds.formats import (
     serialize_qds,
 )
 from qds.trim import build_path_dfa
+from qds.words import check_token, word_str
 from tests.conftest import mk_nfa
 
 
@@ -129,6 +130,45 @@ def test_parse_word_modes():
     assert parse_word("aa", ("aa", "bb")) == ("aa",)
     with pytest.raises(InputError):
         parse_word("ax", ("a", "b"))
+
+
+def spelled(w) -> str:
+    """The printing rule `word_str` restates: ``_`` for the empty word,
+    the bare join when every symbol is one character, else the dot-join."""
+    w = tuple(w)
+    if not w:
+        return "_"
+    if all(len(sym) == 1 for sym in w):
+        return "".join(w)
+    return ".".join(w)
+
+
+def valid_symbol(tok: str) -> bool:
+    try:
+        check_token(tok, "symbol token")
+    except InputError:
+        return False
+    return True
+
+
+SYMBOLS = {
+    "single": st.sampled_from("abc01.|"),
+    "multi": st.text("abc.|", min_size=2, max_size=3),
+    "mixed": st.text("ab.|_@#", min_size=1, max_size=3).filter(valid_symbol),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SYMBOLS)).flatmap(lambda kind: st.lists(SYMBOLS[kind], max_size=6)))
+def test_word_str_is_the_printing_rule(w):
+    assert word_str(w) == word_str(tuple(w)) == word_str(iter(w)) == spelled(w)
+
+
+def test_word_str_prints_one_and_two_symbols_alike():
+    """A two-character symbol and two one-character symbols print the same,
+    which is why `build_qds` refuses pairs whose names collide."""
+    assert word_str(("ab",)) == word_str(("a", "b")) == "ab"
+    assert word_str(("ab", "c")) == "ab.c" and word_str(()) == "_"
 
 
 def test_nfa_dot(suffix_marker_nfa):

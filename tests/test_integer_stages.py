@@ -31,7 +31,7 @@ from qds import (
 )
 from qds.formats import parse_qds, serialize_qds
 from qds.reduction import LayeredPartition
-from qds.structure import QdsTables, restrict_qds
+from qds.structure import QdsTables, _trusted_qds, restrict_qds
 from tests import test_reduction, test_trim
 from tests.conftest import window_cases
 from tests.reference_build import prune_unreachable as reference_prune
@@ -214,3 +214,38 @@ def test_broken_partitions_give_the_reference_counterexample():
             if not check:
                 tags.add(type(check.counterexample[2]))
     assert tags == {str, int}  # both a delta and a gamma counterexample were met
+
+
+def foreign_structures(s: Qds, rng: random.Random):
+    """Structures with the state names of `s` and other tables: its layers
+    each reordered, its delta with some edges sent elsewhere in their target
+    layer, and that delta over the very layers tuple of `s`."""
+    layers = [tuple(rng.sample(layer, len(layer))) for layer in s.layers]
+    yield Qds(s.alphabet, layers, s.initial, s.finals, s.delta, s.gamma)
+    delta = {(p, a): rng.choice(s.layers[s.layer_of[q] - 1]) if rng.random() < 0.2 else q
+             for (p, a), q in s.delta.items()}
+    moved = Qds(s.alphabet, s.layers, s.initial, s.finals, delta, s.gamma)
+    yield moved
+    yield _trusted_qds(s.alphabet, s.layers, moved.tables)
+
+
+def test_fixpoint_of_another_structure_gives_the_reference():
+    """The fixpoint of one structure, applied to another with the same
+    names, refuses with the reference counterexample or builds the
+    reference quotient, as the same classes given by hand do."""
+    rng = random.Random(5)
+    refused = built = 0
+    for s in [*test_trim.built_corpus(), *parsed_structures()]:
+        s = trim_qds(s)
+        p = equiv_fixpoint(s)
+        by_hand = LayeredPartition(p.layers, p.steps)
+        for other in foreign_structures(s, rng):
+            want = outcome(reference_quotient, other, p)
+            assert verify_right_invariant(other, p) == reference_verify(other, p)
+            assert_same(outcome(quotient, other, p), want)
+            assert outcome(quotient, other, by_hand) == want
+            if isinstance(want, Qds):
+                built += 1
+            else:
+                refused += 1
+    assert refused >= 30 and built >= 500

@@ -1,3 +1,4 @@
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -10,12 +11,15 @@ from qds import (
     accessible_part,
     build_path_dfa,
     build_qds,
+    determinize,
     dfa_to_qds,
+    equiv_fixpoint,
     exists_kl,
     find_minimal_kl,
     is_kl_unambiguous,
     prune_unreachable,
     qds_membership,
+    quotient,
     random_nfa,
     trim,
     trim_qds,
@@ -361,6 +365,34 @@ def test_trim_is_reference_on_data():
         assert_walk_is_reference(s)
 
 
+def converging_corpus():
+    """Structures where paths converge: `built_corpus` is a forest, no row
+    with two delta in-edges, but its quotients are not. The quotients in
+    the compile stage order, their re-trims, and the embeddings of the
+    DFAs of random NFAs."""
+    for s in built_corpus():
+        trimmed = trim_qds(s)
+        reduced = quotient(trimmed, equiv_fixpoint(trimmed))
+        yield reduced
+        yield trim_qds(reduced)
+    for seed in range(40):
+        a = accessible_part(random_nfa(seed, 2 + seed % 4, 1 + seed % 3, 0.35, 0.4))
+        if a.states:
+            yield dfa_to_qds(determinize(a))
+
+
+def test_trim_is_reference_where_paths_converge():
+    """The walk meets a node again along a second delta edge: trim, the
+    node order and the edge order stay the reference's."""
+    rows = nodes = 0
+    for s in converging_corpus():
+        assert_walk_is_reference(s)
+        heads = [r for r in s.tables.delta if r >= 0]
+        rows += len(set(heads)) < len(heads)
+        nodes += any(entry < len(s.tables.delta) for _, _, entry in build_path_dfa(s).cross)
+    assert rows >= 100 and nodes >= 50
+
+
 @st.composite
 def structures(draw):
     """2-4 layers of 1-3 states over one or two symbols with a partial
@@ -401,8 +433,8 @@ def test_integer_transitions_are_path_dfa_step():
 @pytest.mark.parametrize("command", [["pathdfa"], ["pathdfa", "--dot"], ["trim", "--report"]])
 def test_cli_output_is_reference(tmp_path, monkeypatch, capsys, command):
     """`qds pathdfa` and `qds trim --report` print the same bytes as with
-    the reference construction patched in."""
-    for i, s in enumerate(data_corpus()):
+    the reference construction patched in, where paths converge too."""
+    for i, s in enumerate([*data_corpus(), *islice(converging_corpus(), 0, None, 7)]):
         path = tmp_path / f"{i}.qds"
         path.write_text(serialize_qds(s))
         assert main(command + [str(path)]) == 0
