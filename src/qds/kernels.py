@@ -13,10 +13,22 @@ and a forward pass reads off the first bad row. `_python_witness`
 enumerates the rows straight off the definition; it is the oracle the tests
 hold the walk to.
 
-`masks` numbers the states and symbols once for every caller; `fronts` and
+The image of a state set under a per-state table of masks (its successors
+or predecessors on one symbol) is read off byte tables: `spans` turns the
+table into one list per 8 states, indexed by that byte of the set, so an
+image costs one subscript per 8 states instead of one step per member.
+The tables take 2^8 entries per 8 states, linear in |Q|, and are built per
+call by whoever reads them: the walk's backward pass builds the predecessor
+tables, and its forward pass the successor tables only once a bad row is
+known to exist.
+
+`arcs` numbers the states and symbols in declared order and `masks` turns
+the arcs into per-symbol successor and predecessor masks; `fronts` and
 `can_read` tabulate, per word in lexicographic rank, the states a word
-leads to and the states from which it leads into a target set: every state
-for the step table, the finals for the build.
+leads to and the states from which it leads into a target set, one
+comprehension over the byte tables per depth: from every state for the
+step table, into every state for the step table and into the finals for
+the build.
 """
 
 from __future__ import annotations
@@ -33,6 +45,36 @@ def bits(mask: int):
         mask ^= low
 
 
+def spans(table: list[int]) -> list[list[int]]:
+    """spans[b][v]: the union of table[8b + i] over the bits i of v, one
+    list per 8 states (2^8 entries, 2^(n mod 8) for the last), built by
+    doubling: adding state i appends the entries so far, each OR table[i]."""
+    out = []
+    for lo in range(0, len(table), 8):
+        span = [0]
+        for t in table[lo:lo + 8]:
+            span += [u | t for u in span] if t else span
+        out.append(span)
+    return out
+
+
+def images(table: list[int]):
+    """The map mask -> union of table[p] over the states p in mask, at one
+    subscript per 8 states: a set of at most 8 states is one list read."""
+    parts = spans(table)
+    if len(parts) == 1:
+        return parts[0].__getitem__
+
+    def image(mask: int) -> int:
+        out = 0
+        for span in parts:
+            out |= span[mask & 255]
+            mask >>= 8
+        return out
+
+    return image
+
+
 def _settle(first: list[int], nxt, count: int) -> list[list[int]]:
     """first, nxt(first), ... up to `count` pair sets, cut once two
     neighbours agree: from there on the chain stays put."""
@@ -42,35 +84,40 @@ def _settle(first: list[int], nxt, count: int) -> list[list[int]]:
     return chain
 
 
-def post(mask: int, table: list[int]) -> int:
-    """Union of table[p] over the states p in `mask`."""
-    out = 0
-    for p in bits(mask):
-        out |= table[p]
-    return out
+def arcs(a: Nfa) -> list[tuple[int, int, int]]:
+    """(p, x, q) for every transition, states and symbols numbered in
+    declared order."""
+    ix = {q: i for i, q in enumerate(a.states)}
+    sym = {x: j for j, x in enumerate(a.alphabet)}
+    return [(ix[p], sym[x], ix[q]) for p, x, q in a.transitions]
 
 
 def masks(a: Nfa) -> tuple[list[list[int]], list[list[int]]]:
     """(succ, pred) with states and symbols numbered in declared order:
     succ[x][p] is the bitmask of p's x-successors, pred[x][r] that of r's
     x-predecessors."""
-    n = len(a.states)
-    ix = {q: i for i, q in enumerate(a.states)}
-    sym = {x: j for j, x in enumerate(a.alphabet)}
-    succ = [[0] * n for _ in a.alphabet]
-    pred = [[0] * n for _ in a.alphabet]
-    for p, x, q in a.transitions:
-        succ[sym[x]][ix[p]] |= 1 << ix[q]
-        pred[sym[x]][ix[q]] |= 1 << ix[p]
+    return _masks(arcs(a), len(a.states), len(a.alphabet))
+
+
+def _masks(moves, n: int, s: int) -> tuple[list[list[int]], list[list[int]]]:
+    """`masks` of the numbered arcs `moves` on n states and s symbols."""
+    succ = [[0] * n for _ in range(s)]
+    pred = [[0] * n for _ in range(s)]
+    for p, x, q in moves:
+        succ[x][p] |= 1 << q
+        pred[x][q] |= 1 << p
     return succ, pred
 
 
-def fronts(succ: list[list[int]], start: int, depth: int) -> list[list[int]]:
-    """fronts[j][c]: the states reached from the set `start` by the j-symbol
-    word of lexicographic rank c, for j = 0..depth."""
-    out = [[start]]
-    for _ in range(depth):
-        out.append([post(f, fwd) for f in out[-1] for fwd in succ])
+def fronts(succ: list[list[int]], starts: list[int], depth: int) -> list[list[int]]:
+    """fronts[j][i * |alphabet|^j + c]: the states reached from the set
+    starts[i] by the j-symbol word of lexicographic rank c, for j =
+    0..depth."""
+    out = [starts]
+    if depth:
+        step = [images(fwd) for fwd in succ]
+        for _ in range(depth):
+            out.append([img(f) for f in out[-1] for img in step])
     return out
 
 
@@ -78,37 +125,32 @@ def can_read(pred: list[list[int]], end: int, depth: int) -> list[list[int]]:
     """can_read[m][c]: the states from which the m-symbol word of
     lexicographic rank c leads into the set `end`, for m = 0..depth."""
     out = [[end]]
-    for _ in range(depth):
-        out.append([post(b, back) for back in pred for b in out[-1]])
+    if depth:
+        step = [images(back) for back in pred]
+        for _ in range(depth):
+            out.append([img(b) for img in step for b in out[-1]])
     return out
 
 
 def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
     """First (state, window) pair violating the (k,l) condition in (state,
     lexicographic word) order, or None. O(k * |Q|^2 * |alphabet|) steps on
-    |Q|-bit ints; the pair sets kept are O(min(k, |Q|^2) * |Q|^2) bits."""
+    |Q|-bit ints; the pair sets kept are O(min(k, |Q|^2) * |Q|^2) bits, and
+    the byte tables 2^8 * ceil(|Q|/8) masks per symbol and direction."""
     n = len(a.states)
-    ix = {q: i for i, q in enumerate(a.states)}
-    succ, pred = masks(a)
+    moves = arcs(a)
+    succ, pred = _masks(moves, n, len(a.alphabet))
+    back = [images(table) for table in pred]
+    flat = [(p, x * n + q) for p, x, q in moves]
 
     # a pair set is a list of n row masks: bit r of rows[p] holds pair (p, r)
     def pre(rows: list[int]) -> list[int]:
-        """Pairs with a successor pair in `rows` on some symbol."""
+        """Pairs with a successor pair in `rows` on some symbol: (p, r) for
+        an x-arc p -> q and r in the x-predecessors of rows[q]."""
+        seconds = [img(row) for img in back for row in rows]
         out = [0] * n
-        for fwd, back in zip(succ, pred):
-            for p in range(n):
-                reach = post(fwd[p], rows)  # seconds r' paired with a successor of p
-                if reach:
-                    out[p] |= post(reach, back)
-        return out
-
-    def image(rows: list[int], fwd: list[int]) -> list[int]:
-        out = [0] * n
-        for p, row in enumerate(rows):
-            reach = post(row, fwd) if row else 0
-            if reach:
-                for t in bits(fwd[p]):
-                    out[t] |= reach
+        for p, xq in flat:
+            out[p] |= seconds[xq]
         return out
 
     def off(rows: list[int]) -> list[int]:
@@ -128,6 +170,19 @@ def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
             return tail[min(k - i, len(tail) - 1)]
         return head[min(l - i, len(head) - 1)]
 
+    # feas is one list on positions 1..l-len(head)+1 and l+1..k-len(tail)+1,
+    # where each stretch has settled, and changes at every other position
+    settled = {1: l - len(head) + 1, l + 1: k - len(tail) + 1}
+    i0 = next((i for i, row in enumerate(start) if row >> i & 1), None)
+    if i0 is None:
+        return None
+    # the forward pass: an x-step sends the seconds of row p to their
+    # x-image, shared by the rows of p's x-successors
+    fwd = [images(table) for table in succ]
+    targets = [[[] for _ in range(n)] for _ in succ]
+    for p, x, t in moves:
+        targets[x][p].append(t)
+
     def run(front: list[int], live: list[int], count: int) -> tuple[list[str], list[int]]:
         """The symbols of `count` steps from `front` under one `live`, and
         the front after them. The step is then a fixed map on fronts, so
@@ -141,30 +196,28 @@ def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
                 front = list(seen)[j + rest % period]
                 word += (word[j:] * (rest // period + 1))[:rest]
                 break
-            for x, fwd in zip(a.alphabet, succ):
-                nxt = [s & t for s, t in zip(image(front, fwd), live)]
+            for x, img, lists in zip(a.alphabet, fwd, targets):
+                nxt = [0] * n
+                for row, ts in zip(front, lists):
+                    if row:
+                        reach = img(row)
+                        for t in ts:
+                            nxt[t] |= reach
+                nxt = [s & t for s, t in zip(nxt, live)]
                 if any(nxt):
                     break
             word.append(x)
             front = nxt
         return word, front
 
-    # feas is one list on positions 1..l-len(head)+1 and l+1..k-len(tail)+1,
-    # where each stretch has settled, and changes at every other position
-    settled = {1: l - len(head) + 1, l + 1: k - len(tail) + 1}
-    for q in a.states:
-        i0 = ix[q]
-        if not start[i0] >> i0 & 1:
-            continue
-        front = [0] * n
-        front[i0] = 1 << i0
-        word: list[str] = []
-        while len(word) < k:
-            i = len(word) + 1
-            part, front = run(front, feas(i), settled.get(i, i) - i + 1)
-            word += part
-        return q, tuple(word)
-    return None
+    front = [0] * n
+    front[i0] = 1 << i0
+    word: list[str] = []
+    while len(word) < k:
+        i = len(word) + 1
+        part, front = run(front, feas(i), settled.get(i, i) - i + 1)
+        word += part
+    return a.states[i0], tuple(word)
 
 
 def _python_witness(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:

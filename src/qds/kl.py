@@ -8,7 +8,8 @@ the square graph has a walk labelled w from (q,q) whose pairs at positions
 1..l are off-diagonal. Such a walk gives two runs on w that differ at every
 split up to l; conversely a bad row has two live states at each of those
 splits, and Menger's theorem turns that trellis of live states into two
-vertex-disjoint runs. `kernels.find_bad_row` runs that walk;
+vertex-disjoint runs. `kernels.find_bad_row` runs that walk, taking the
+image of each row of a pair set from byte tables;
 `kernels._python_witness`, which enumerates every (state, window) row
 against the defining cardinality condition, is the oracle the tests hold it
 to.
@@ -19,8 +20,10 @@ the longest such path.
 
 The step table reads the same bitmasks: a row's live states at split j are
 the front of its j-symbol prefix intersected with the states that can read
-the rest (`kernels.fronts`, `kernels.can_read`). `step` restates the
-definition for one row; it is the table's oracle and raises its errors.
+the rest (`kernels.fronts`, `kernels.can_read`), each tabulated once for
+every state and word, a set's image taking one byte-table read per 8
+states. `step` restates the definition for one row; it is the table's
+oracle and raises its errors.
 
 Constructions whose size grows with k are checked against SIZE_BUDGET
 (`errors.SIZE_BUDGET`) before anything is allocated.
@@ -270,9 +273,10 @@ def step_table(a: Nfa, k: int, l: int) -> StepTable:
     word) order, with states as numbers.
 
     Entry j of a row is the largest split whose live set, the prefix front
-    AND the can-read set of the suffix, has at most one bit; both sets are
-    tabulated once per word, so no row reruns `delta_word`. A row where no
-    j qualifies is handed to `step`, which raises the error naming it.
+    AND the can-read set of the suffix, has at most one bit; the fronts are
+    tabulated once per (state, word) and the can-read sets once per word,
+    so no row reruns `delta_word`. A row where no j qualifies is handed to
+    `step`, which raises the error naming it.
     """
     _require_single_initial(a)
     n, s = len(a.states), max(len(a.alphabet), 1)
@@ -289,18 +293,20 @@ def step_table(a: Nfa, k: int, l: int) -> StepTable:
         return StepTable(k=k, l=l, entries=[])
     succ, pred = kernels.masks(a)
     live_after = kernels.can_read(pred, (1 << n) - 1, k - 1)
-    splits = [(j, s ** (k - j), live_after[k - j]) for j in range(l, 0, -1)]
+    reached = kernels.fronts(succ, [1 << i for i in range(n)], l)
+    # row r = i*s^k + c splits at j into the prefix front r // s^(k-j) of
+    # state i and the suffix can-read set r % s^(k-j)
+    splits = [(s ** (k - j), j, reached[j], live_after[k - j]) for j in range(l, 0, -1)]
     entries = []
-    for i, q in enumerate(a.states):
-        reached = kernels.fronts(succ, 1 << i, l)
-        for c in range(s ** k):
-            for j, cut, live_b in splits:
-                live = reached[j][c // cut] & live_b[c % cut]
-                if not live & (live - 1):  # at most one live state
-                    entries.append((j, live.bit_length() - 1))
-                    break
-            else:  # raises: no split disambiguates this row
-                step(a, k, l, q, next(islice(words_of_length(a.alphabet, k), c, None)))
+    for r in range(n * s ** k):
+        for cut, j, front, live_b in splits:
+            live = front[r // cut] & live_b[r % cut]
+            if not live & (live - 1):  # at most one live state
+                entries.append((j, live.bit_length() - 1))
+                break
+        else:  # raises: no split disambiguates this row
+            i, c = divmod(r, s ** k)
+            step(a, k, l, a.states[i], next(islice(words_of_length(a.alphabet, k), c, None)))
     return StepTable(k=k, l=l, entries=entries)
 
 

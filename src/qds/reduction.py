@@ -71,7 +71,8 @@ def equiv_fixpoint(s: Qds) -> LayeredPartition:
     starts = [0, *accumulate(len(layer) for layer in s.layers)]
     top = starts[m - 1]
     # row offsets and -1 (bottom) both become state numbers by // w
-    succ = [[r // w for r in t.delta[i * w:(i + 1) * w]] for i in range(top)]
+    slots = [r // w for r in t.delta[:top * w]]
+    succ = [slots[i:i + w] for i in range(0, top * w, w)]
     key: list[object] = [None] * starts[1]
     key += [i * w in t.finals for i in range(starts[1], top)]
     for i in range(top, starts[m]):
@@ -138,7 +139,8 @@ def _class_rows(s: Qds, p: LayeredPartition):
     t = s.tables
     w, top = t.width, len(names) - len(s.layers[-1])
     # a state's row: its successors' classes, or (shift, target class) on top
-    rows: list[object] = [[cid[r // w] for r in t.delta[i * w:i * w + w]] for i in range(top)]
+    slots = [cid[r // w] for r in t.delta[:top * w]]
+    rows: list[object] = [slots[i:i + w] for i in range(0, top * w, w)]
     rows += [(shift, cid[target // w]) for target, shift in t.gamma[top:]]
     reps = [min(mem, key=names.__getitem__) for mem in members]
     for mem, r in zip(members, reps):

@@ -171,3 +171,95 @@ def test_long_window_row_is_bad_by_definition():
         if found == 5:
             break
     assert found == 5
+
+
+# state counts on both sides of the 8-state span boundaries
+BYTE_EDGES = (1, 7, 8, 9, 15, 16, 17, 24)
+
+
+def test_walk_matches_reference_across_span_boundaries():
+    """State sets of 8, 9, 16, 17 and 24 states take one table read per 8
+    states; the walk still returns the reference's first bad row at l = 1
+    and l = k."""
+    cases = bad = 0
+    for n in BYTE_EDGES:
+        for seed in range(6):
+            sigma = 1 + seed % 2
+            a = random_nfa(100 * n + seed, n, sigma, 2.0 / (n + 2) + 0.05 * (seed % 3), 0.4)
+            for k in range(1, (4 if n <= 9 else 3) + 1):
+                for l in sorted({1, k}):
+                    expected = kernels._python_witness(a, k, l)
+                    assert find_bad_row(a, k, l) == expected, (n, seed, k, l)
+                    cases += 1
+                    bad += expected is not None
+    assert bad >= 40 and cases - bad >= 40, (bad, cases)
+
+
+def _bit_image(mask: int, table: list[int]) -> int:
+    """Union of table[p] over the set bits p of `mask`, one bit at a time."""
+    out = 0
+    for p, t in enumerate(table):
+        if mask >> p & 1:
+            out |= t
+    return out
+
+
+def _walk(succ: list[list[int]], mask: int, w: tuple[int, ...]) -> int:
+    for x in w:
+        mask = _bit_image(mask, succ[x])
+    return mask
+
+
+def _window_automata():
+    """Seeded random NFAs at the span boundaries, a one-letter automaton and
+    an empty-alphabet one."""
+    for n in BYTE_EDGES:
+        yield random_nfa(7 * n, n, 1 + n % 3, min(1.0, 1.5 / n), 0.5)
+    yield mk_nfa("a", "0123456789", ["0"], ["9"],
+                 [(str(i), "a", str((i * 3 + 1) % 10)) for i in range(10)]
+                 + [("0", "a", "5"), ("9", "a", "0")])
+    yield mk_nfa("", [str(i) for i in range(9)], ["0"], ["3"], [])
+
+
+def test_fronts_and_can_read_match_bit_loops():
+    """fronts[j][i*s^j + c] and can_read[m][c] against walks of the words of
+    rank c, one symbol and one bit at a time."""
+    from itertools import product
+
+    for a in _window_automata():
+        n, s = len(a.states), len(a.alphabet)
+        succ, pred = kernels.masks(a)
+        starts = [1 << i for i in range(n)] + [(1 << n) - 1, 0b101 & ((1 << n) - 1)]
+        depth = 3
+        got = kernels.fronts(succ, starts, depth)
+        for j in range(depth + 1):
+            want = [_walk(succ, f, w) for f in starts for w in product(range(s), repeat=j)]
+            assert got[j] == want, (n, s, j)
+        ends = [sum(1 << i for i, q in enumerate(a.states) if q in a.finals), (1 << n) - 1]
+        for end in ends:
+            got = kernels.can_read(pred, end, depth)
+            for m in range(depth + 1):
+                want = [sum(1 << p for p in range(n) if _walk(succ, 1 << p, w) & end)
+                        for w in product(range(s), repeat=m)]
+                assert got[m] == want, (n, s, m)
+
+
+def test_spans_are_linear_in_the_states():
+    """One span per 8 states, of 2^8 entries (2^(n mod 8) for the last), so
+    the tables hold at most 32 entries per state; each entry is the union of
+    the table rows its bits name."""
+    import random
+
+    for n in range(0, 41):
+        rng = random.Random(n)
+        table = [rng.getrandbits(n) for _ in range(n)]
+        parts = kernels.spans(table)
+        assert len(parts) == (n + 7) // 8
+        assert [len(p) for p in parts] == [2 ** min(8, n - 8 * b) for b in range(len(parts))]
+        assert sum(map(len, parts)) <= 32 * n
+        image = kernels.images(table)
+        for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+            assert image(mask) == _bit_image(mask, table), (n, mask)
+        for b, span in enumerate(parts):
+            for v in (0, len(span) - 1, rng.randrange(len(span))):
+                assert span[v] == _bit_image(v << 8 * b, table)
