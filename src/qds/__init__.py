@@ -41,7 +41,6 @@ from .structure import (
     MembershipResult,
     Qds,
     RunTrace,
-    lint_qds,
     qds_membership,
     qds_stats,
 )

@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from . import kernels
-from .errors import InputError, PreconditionError
+from .errors import SIZE_BUDGET, InputError, PreconditionError
 from .kl import StepTable, step_table
 from .nfa import Dfa, Nfa, closure
 from .structure import Qds, QdsTables, _trusted_qds, restrict_qds
@@ -34,7 +34,8 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
     The tables come out by arithmetic: pair (q, w) of layer j sits at
     number starts[j] + i*|alphabet|^j + rank(w) for q the i-th source, so
     delta slot x (state x // |alphabet|, symbol x % |alphabet|) leads to
-    state x + |R|. Two pairs with the same printed name are an InputError.
+    state x + |R|. Two pairs with the same printed name are an InputError,
+    and so are names of more than SIZE_BUDGET characters, counted first.
     """
     if table is None:
         table = step_table(a, k, l)  # raises with a witness row if ambiguous
@@ -52,6 +53,9 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
                                        if t >= 0)))
     source_ix = {q: i for i, q in enumerate(found)}
     sources = [a.states[q] for q in found]
+    chars = _name_chars(a.alphabet, k, sources)  # ~|R|*k^2/2 on one letter
+    if chars > SIZE_BUDGET:
+        raise InputError(f"pair names spell {chars} characters, over the size budget {SIZE_BUDGET}")
     spelled = [[word_str(w) for w in words_of_length(a.alphabet, j)] for j in range(k + 1)]
     # pair (q, w) is named "q|w", as `pair_name` in tests/reference_build.py
     names = [f"{q}|{w}" for level in spelled for q in sources for w in level]
@@ -79,6 +83,21 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
                                   for q in found
                                   for j, t in table.entries[q * rows:(q + 1) * rows]],
                   frozenset(i * width for i in finals)))
+
+
+def _name_chars(alphabet: tuple[str, ...], k: int, sources: list[str]) -> int:
+    """Characters in the names "q|w", q in `sources` and |w| <= k, with w
+    spelled by `word_str`: "_", bare if its symbols are single, else dotted."""
+    s, ones = len(alphabet), sum(len(x) == 1 for x in alphabet)
+    symbols = sum(map(len, alphabet))
+    heads = sum(len(q) + 1 for q in sources)  # "q|" over the sources
+    total = heads + len(sources)  # "q|_"
+    for j in range(1, k + 1):
+        # each symbol fills j*s^(j-1) of the j*s^j slots; a word with a
+        # longer symbol takes j-1 dots
+        words = j * s ** (j - 1) * symbols + (j - 1) * (s ** j - ones ** j)
+        total += heads * s ** j + len(sources) * words
+    return total
 
 
 def _refuse_colliding_names(a: Nfa, k: int, sources: list[str], names: list[str]) -> None:

@@ -34,7 +34,7 @@ the build.
 from __future__ import annotations
 
 from .nfa import Nfa
-from .words import Word
+from .words import Word, words_of_length
 
 
 def bits(mask: int):
@@ -221,26 +221,13 @@ def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
 
 
 def _python_witness(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
-    """Reference implementation straight off the definition: every row in
-    (state, lexicographic word) order, the oracle for `find_bad_row`."""
-    from .nfa import delta_word
-    from .words import words_of_length
+    """Reference implementation straight off the definition: the first row,
+    in (state, lexicographic word) order, where the (k,l) row rule `kl._split`
+    finds no split; the oracle for `find_bad_row`."""
+    from .kl import _split
 
-    for q in a.states:
-        for w in words_of_length(a.alphabet, k):
-            if all(
-                len(
-                    {
-                        r
-                        for r in delta_word(a, {q}, w[:i])
-                        if delta_word(a, {r}, w[i:])
-                    }
-                )
-                >= 2
-                for i in range(1, l + 1)
-            ):
-                return q, w
-    return None
+    return next(((q, w) for q in a.states for w in words_of_length(a.alphabet, k)
+                 if _split(a, l, q, w) is None), None)
 
 
 def backend_name() -> str:

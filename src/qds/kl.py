@@ -22,8 +22,9 @@ The step table reads the same bitmasks: a row's live states at split j are
 the front of its j-symbol prefix intersected with the states that can read
 the rest (`kernels.fronts`, `kernels.can_read`), each tabulated once for
 every state and word, a set's image taking one byte-table read per 8
-states. `step` restates the definition for one row; it is the table's
-oracle and raises its errors.
+states. `_split` states the row rule once, off the definition: `step`
+reads it for one row, as the table's oracle that raises its errors, and
+`kernels._python_witness` for every row, as the walk's oracle.
 
 Constructions whose size grows with k are checked against SIZE_BUDGET
 (`errors.SIZE_BUDGET`) before anything is allocated.
@@ -44,10 +45,6 @@ from .words import Word, as_word, words_of_length
 class PairState:
     first: str
     second: str
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.first == self.second
 
     def __repr__(self) -> str:
         return f"({self.first},{self.second})"
@@ -90,6 +87,24 @@ def _require_single_initial(a: Nfa) -> str:
     if len(a.initials) != 1:
         raise PreconditionError("operation needs a single initial state")
     return next(iter(a.initials))
+
+
+def _check_request(a: Nfa, k: int, l: int) -> None:
+    """The contract of a (k,l) question: 1 <= l <= k, one initial state."""
+    if not (1 <= l <= k):
+        raise PreconditionError(f"need 1 <= l <= k, got k={k}, l={l}")
+    _require_single_initial(a)
+
+
+def _split(a: Nfa, l: int, q: str, w: Word) -> tuple[int, str | None] | None:
+    """The (k,l) row rule: (j, survivor) for the largest split j <= l of `w`
+    at `q` leaving at most one live state (reached by w[:j], able to read
+    w[j:]), survivor None if none is; None when no split does: a bad row."""
+    for j in range(l, 0, -1):
+        live = {r for r in delta_word(a, {q}, w[:j]) if delta_word(a, {r}, w[j:])}
+        if len(live) <= 1:
+            return j, next(iter(live), None)
+    return None
 
 
 def square_automaton(a: Nfa) -> SquareAutomaton:
@@ -214,9 +229,7 @@ def kl_witness(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
     Decided by the square-graph walk of `kernels.find_bad_row` in
     O(k x |Q|^2 x |alphabet|) steps, refused above SIZE_BUDGET.
     """
-    if not (1 <= l <= k):
-        raise PreconditionError(f"need 1 <= l <= k, got k={k}, l={l}")
-    _require_single_initial(a)
+    _check_request(a, k, l)
     n, s = len(a.states), max(len(a.alphabet), 1)
     if k * n * n * s > SIZE_BUDGET:
         raise InputError(
@@ -242,30 +255,22 @@ def is_k_lookahead_deterministic(a: Nfa, k: int) -> bool:
 
 
 def step(a: Nfa, k: int, l: int, q: str, w) -> StepEntry:
-    """Step index and step successor of state `q` for window `w`.
-
-    The index is the largest j <= l whose split leaves at most one live
-    state; the successor is that state, or None when nothing survives.
-    Raises when no j qualifies, i.e. when (q,w) witnesses ambiguity.
-    """
-    if not (1 <= l <= k):
-        raise PreconditionError(f"need 1 <= l <= k, got k={k}, l={l}")
-    _require_single_initial(a)
+    """Step index and step successor of state `q` for window `w`, by the
+    row rule `_split`. Raises when no split qualifies, i.e. when (q,w)
+    witnesses ambiguity."""
+    _check_request(a, k, l)
     w = as_word(w)
     if len(w) != k:
         raise InputError(f"window must have length {k}, got {len(w)}")
     if q not in a.states:
         raise InputError(f"unknown state {q!r}")
-    for j in range(l, 0, -1):
-        live = {
-            r for r in delta_word(a, {q}, w[:j]) if delta_word(a, {r}, w[j:])
-        }
-        if len(live) <= 1:
-            return StepEntry(index=j, successor=next(iter(live)) if live else None)
-    raise PreconditionError(
-        f"no split of window {''.join(w)!r} at state {q!r} disambiguates: "
-        f"automaton is not ({k},{l})-unambiguous"
-    )
+    split = _split(a, l, q, w)
+    if split is None:
+        raise PreconditionError(
+            f"no split of window {''.join(w)!r} at state {q!r} disambiguates: "
+            f"automaton is not ({k},{l})-unambiguous"
+        )
+    return StepEntry(*split)
 
 
 def step_table(a: Nfa, k: int, l: int) -> StepTable:
@@ -287,8 +292,7 @@ def step_table(a: Nfa, k: int, l: int) -> StepTable:
             f"step table |Q|*|alphabet|^k*k = {n}*{s}^{k}*{k} cells is over "
             f"the size budget {SIZE_BUDGET}"
         )
-    if not 1 <= l <= k:
-        step(a, k, l, a.states[0], ())  # raises: l is outside 1..k
+    _check_request(a, k, l)
     if not a.alphabet:  # no window to read: no rows
         return StepTable(k=k, l=l, entries=[])
     succ, pred = kernels.masks(a)

@@ -6,8 +6,9 @@ shift lengths and finality on the top layer, then repeatedly re-partitions:
 each step the top layer additionally requires gamma targets equivalent under
 the previous step's relation, and every inner layer requires all symbol
 successors equivalent under the same step's next-layer relation (bottom only
-matching bottom). Layer 1 is exempt from the finality comparison: a run can
-end inside layer 1 only at the initial state on the empty word. The chain
+matching bottom). Layer 1 is exempt from the finality comparison: as gamma
+shifts lie in 1..m-1, a run can end inside layer 1 only at the initial
+state on the empty word (a shift of m could end one there). The chain
 is run by `nfa.refine` on `Qds.tables`, one group per layer. The
 right-invariance check and the quotient read the same tables through one
 class number per state.

@@ -3,8 +3,11 @@ layer shifts a fixed-width reading window back to layer one.
 
 The structure has m layers; the window width is m-1. A delta edge advances
 exactly one layer; gamma maps every top-layer state to a layer-one target
-(or bottom) together with a shift length in 1..m. Recognition slides the
-window along the input, re-reading the overlap after each shift.
+(or bottom) together with a shift length in 1..m-1, inside the window, so
+no symbol is skipped unread. Recognition slides the window along the input,
+re-reading the overlap after each shift. By that range every window after a
+shift holds a symbol: a run ends in layer 1 only at the initial state on
+the empty word.
 
 A `Qds` is stored as its alphabet, its layers and its integer tables
 (`QdsTables`); `initial`, `finals`, `delta` and `gamma` are read off the
@@ -95,8 +98,8 @@ class Qds:
         if set(gamma) != top:
             raise InputError("gamma must be defined on exactly the last layer")
         for p, (target, shift) in gamma.items():
-            if not (1 <= shift <= self.m):
-                raise InputError(f"gamma shift at {p!r} out of range 1..{self.m}")
+            if not (1 <= shift <= self.window):
+                raise InputError(f"gamma shift at {p!r} out of range 1..{self.window}")
             if target is not None and layer_of.get(target) != 1:
                 raise InputError(f"gamma target of {p!r} must sit in layer 1")
         width = max(len(self.alphabet), 1)
@@ -309,19 +312,6 @@ def qds_stats(s: Qds) -> QdsStats:
         bottom_gammas=sum(1 for tgt, _ in s.gamma.values() if tgt is None),
         finals=len(s.finals),
     )
-
-
-def lint_qds(s: Qds) -> list[str]:
-    """Non-fatal oddities: hand-written structures may carry full-window
-    shifts, which the trim machinery cannot track."""
-    warnings = []
-    for p, (target, shift) in sorted(s.gamma.items()):
-        if shift == s.m and target is not None:
-            warnings.append(
-                f"gamma at {p!r} shifts by the full window+1 ({s.m}); "
-                "paths ending in this shift escape the path-DFA analysis"
-            )
-    return warnings
 
 
 def format_trace(result: MembershipResult, w: Iterable[str]) -> str:

@@ -163,7 +163,7 @@ def build_path_dfa(s: Qds) -> PathDfa:
                 else:
                     cross.append((i, j, row + c))
         elif g[0] >= 0:  # top layer: the one shift gamma allows
-            nv = max(m - 1 - g[1], 0)
+            nv = m - 1 - g[1]
             key = (x % power[nv] * m + nv) * size + g[0]
             count = len(nodes)
             j = index.setdefault(key, count)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from qds import (
@@ -12,7 +14,8 @@ from qds import (
     random_nfa,
     step_table,
 )
-from qds.formats import parse_nfa, serialize_qds
+from qds.cli import main
+from qds.formats import parse_nfa, serialize_nfa, serialize_qds
 from qds.nfa import closure
 from qds.words import words_of_length, words_up_to
 from tests.conftest import mk_nfa, window_cases
@@ -245,3 +248,40 @@ def test_build_refuses_colliding_pair_names():
         build_qds(a, 1, 1)
     assert str(err.value) == ("pairs ('x', ('a|b',)) and ('x|a', ('b',)) "
                               "are both named x|a|b")
+
+
+def test_build_counts_the_characters_of_its_names(monkeypatch):
+    """A name holds its whole word, so on one letter the names spell about
+    |R|*k^2/2 characters while the step table has |R|*k cells. They are
+    counted exactly, before any is spelled: a budget of the exact count
+    lets the build through and one less refuses it."""
+    from qds import build
+
+    mixed = mk_nfa(["a", "bc"], ["0", "long"], ["0"], ["long"],
+                   [("0", "a", "long"), ("0", "bc", "0"), ("long", "a", "0")])
+    s = build_qds(mixed, 3, 1)
+    chars = sum(map(len, s.states))
+    monkeypatch.setattr(build, "SIZE_BUDGET", chars)
+    assert build_qds(mixed, 3, 1) == s
+    monkeypatch.setattr(build, "SIZE_BUDGET", chars - 1)
+    with pytest.raises(InputError, match=f"spell {chars} characters, over the size budget"):
+        build_qds(mixed, 3, 1)
+
+
+def test_build_refuses_long_names_in_bounded_memory(tmp_path, capsys):
+    """Two sources at k = 6,000 would spell 36 M characters: refused with
+    one error line, and the refusal stays small."""
+    unary = mk_nfa("a", ["0", "1"], ["0"], ["1"], [("0", "a", "1"), ("1", "a", "0")])
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="spell 36030006 characters, over the size budget"):
+            build_qds(unary, 6000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    path = tmp_path / "unary.nfa"
+    path.write_text(serialize_nfa(unary))
+    assert main(["build-qds", "--k", "6000", "--l", "1", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -1,5 +1,8 @@
 import io
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +15,7 @@ from qds.formats import parse_nfa, parse_qds, serialize_nfa, serialize_qds
 from qds.kernels import _python_witness
 from tests.conftest import mk_nfa
 from tests.test_formats import automaton_texts
+from tests.test_structure import FULL_SHIFT_TEXTS
 
 
 @pytest.fixture
@@ -392,15 +396,18 @@ def test_stdin_input(qds_file, capsys, monkeypatch):
     assert "ACCEPT state=2" in capsys.readouterr().out
 
 
-def test_shift_lint_warning(tmp_path, capsys):
-    text = (
-        "@type qds\n@alphabet a\n@layers 2\n@layer 1 p\n@layer 2 q\n"
-        "@initial p\n@final p\np a q\n@gamma q p 2\n"
-    )
+@pytest.mark.parametrize("text", FULL_SHIFT_TEXTS, ids=["trim", "reduce"])
+@pytest.mark.parametrize("command", [["stats"], ["member", "--word", "aa"], ["trim"],
+                                     ["reduce"], ["pathdfa"], ["dot"]], ids=lambda c: c[0])
+def test_full_window_shift_is_refused(tmp_path, capsys, text, command):
+    """A gamma shift of m is refused by every command that reads a
+    structure: exit 2 and one `error:` line."""
     src = tmp_path / "full.qds"
     src.write_text(text)
-    assert main(["stats", str(src)]) == 0
-    assert "warning:" in capsys.readouterr().err
+    assert main(command + [str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "out of range 1..1" in err
 
 
 COMMANDS = (
@@ -419,16 +426,47 @@ COMMANDS = (
 @settings(max_examples=100, deadline=None)
 @given(st.text() | automaton_texts())
 def test_cli_never_exits_1_on_an_error(text):
-    """Exit 2 always carries one `error:` line; exit 0 and 1 never do, and
-    exit 1 (a negative answer) prints nothing on stderr but lint warnings."""
+    """Exit 2 always carries one `error:` line; exit 0 and 1 (a negative
+    answer) print nothing on stderr."""
     for cmd in COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with mock.patch("sys.stdin", io.StringIO(text)), \
                 redirect_stdout(out), redirect_stderr(err):
             code = main(cmd + ["-"])
-        errors = [line for line in err.getvalue().splitlines()
-                  if not line.startswith("warning: ")]
+        errors = err.getvalue().splitlines()
         if code == 2:
             assert len(errors) == 1 and errors[0].startswith("error: "), (cmd, text)
         else:
             assert code in (0, 1) and not errors, (cmd, text)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+QUOTED = ("check", "exists", "minimal", "lookahead", "member")  # first line in the comment
+
+
+def readme_examples():
+    """(argv, exit code, first line) of each README example of a quoted
+    command: its comment is the first line the command prints, a final
+    " ..." standing for the rest of the line, and a trailing "(exit N)"
+    gives a code other than 0."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv[1:2] and argv[1] in QUOTED and comment.strip():
+            first, code = re.fullmatch(r"\s*(.*?)\s*(?:\(exit (\d)\))?", comment).groups()
+            yield argv[1:], int(code or 0), first
+
+
+def test_readme_examples_print_what_their_comments_say(monkeypatch, capsys):
+    examples = list(readme_examples())
+    assert sorted(argv[0] for argv, _, _ in examples) == sorted([*QUOTED, "check"])
+    monkeypatch.chdir(ROOT)
+    for argv, code, first in examples:
+        assert main(argv) == code, argv
+        line = capsys.readouterr().out.splitlines()[0]
+        if first.endswith(" ..."):
+            assert line.startswith(first[:-3]), argv
+        else:
+            assert line == first, argv

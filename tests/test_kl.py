@@ -60,7 +60,7 @@ def corpus(n_items, max_states=4, max_syms=2):
 
 def test_square_deterministic_only_diagonal(three_state_dfa):
     sq = square_automaton(three_state_dfa)
-    assert all(p.is_diagonal for p in sq.states)
+    assert all(p.first == p.second for p in sq.states)
 
 
 def test_square_contains_fork_pair(suffix_marker_nfa):
@@ -105,7 +105,7 @@ def test_exists_counterexample_certificate(ambiguous_loop_nfa):
     report = exists_kl(ambiguous_loop_nfa)
     assert not report.exists and report.k_min is None
     cycle = report.certificate
-    assert cycle and all(not p.is_diagonal for p in cycle)
+    assert cycle and all(p.first != p.second for p in cycle)
     # the certificate replays under the product rule, closing the loop
     a = ambiguous_loop_nfa
     closed = list(cycle) + [cycle[0]]
@@ -122,7 +122,7 @@ def _exists_on_square_automaton(a):
     diagonal-free graph and its root and edge order rebuilt from the
     PairState graph, the oracle for the walk on pair ids."""
     square = square_automaton(a)
-    nodes = {p for p in square.states if not p.is_diagonal}
+    nodes = {p for p in square.states if p.first != p.second}
     edges = {p: [] for p in nodes}
     for s, _, t in sorted(square.transitions, key=repr):
         if s in nodes and t in nodes and t not in edges[s]:

@@ -19,7 +19,6 @@ from qds import (
     equiv_fixpoint,
     gen_lk_nfa,
     gen_sk_qds,
-    lint_qds,
     minimize_dfa,
     prune_unreachable,
     qds_membership,
@@ -311,7 +310,7 @@ def test_extended_delta_equals_shiftable_path_labels(two_lane_qds, three_state_d
                     assert ends == {got}
 
 
-# --- stats and lint -------------------------------------------------------
+# --- stats and the shift range ------------------------------------------------
 
 
 def test_stats_values(two_lane_qds, three_state_dfa):
@@ -322,25 +321,26 @@ def test_stats_values(two_lane_qds, three_state_dfa):
     assert qds_stats(gen_sk_qds(0)).total_states == 5
 
 
-def test_lint_flags_full_window_shift():
-    s = Qds(
-        alphabet=("a",),
-        layers=(("p",), ("q",)),
-        initial="p",
-        finals=frozenset({"p"}),
-        delta={("p", "a"): "q"},
-        gamma={"q": ("p", 2)},
-    )
-    assert lint_qds(s)
-    ok = Qds(
-        alphabet=("a",),
-        layers=(("p",), ("q",)),
-        initial="p",
-        finals=frozenset({"p"}),
-        delta={("p", "a"): "q"},
-        gamma={"q": ("p", 1)},
-    )
-    assert not lint_qds(ok)
+# The smallest structures on which a shift of m, one past the window, made
+# trim (the first) and the fixpoint quotient (the second) change the
+# language: both accept "aa", and rejected it after that stage.
+FULL_SHIFT_TEXTS = (
+    "@type qds\n@alphabet a\n@layers 2\n@layer 1 q0 q1 q2\n@layer 2 q3\n"
+    "@initial q0\n@final q0 q2\nq0 a q3\nq1 a q3\n@gamma q3 q0 2\n",
+    "@type qds\n@alphabet a\n@layers 2\n@layer 1 q0 q1\n@layer 2 q2\n"
+    "@initial q0\n@final q1\nq0 a q2\n@gamma q2 q1 2\n",
+)
+
+
+@pytest.mark.parametrize("text", FULL_SHIFT_TEXTS, ids=["trim", "reduce"])
+def test_full_window_shift_is_refused(text):
+    """Shifts lie in 1..m-1: one of m would skip a symbol unread."""
+    with pytest.raises(InputError, match=r"gamma shift at 'q\d' out of range 1\.\.1"):
+        parse_qds(text)
+    ok = parse_qds(text[:-2] + "1\n")
+    (top, (target, _)), = ok.gamma.items()
+    with pytest.raises(InputError, match=r"gamma shift at 'q\d' out of range 1\.\.1"):
+        Qds(ok.alphabet, ok.layers, ok.initial, ok.finals, ok.delta, {top: (target, 2)})
 
 
 def test_qds_refuses_repeated_alphabet_symbol():
@@ -378,7 +378,7 @@ def test_qds_validation_errors():
         two_layers(delta={("p", "a"): "r"})
     with pytest.raises(InputError, match="gamma must be defined on exactly the last layer"):
         two_layers(gamma={})
-    with pytest.raises(InputError, match=r"gamma shift at 'q' out of range 1\.\.2"):
+    with pytest.raises(InputError, match=r"gamma shift at 'q' out of range 1\.\.1"):
         two_layers(gamma={"q": ("p", 3)})
     with pytest.raises(InputError, match="gamma target of 'r' must sit in layer 1"):
         Qds(("a",), (("p",), ("q",), ("r",)), "p", frozenset(), {}, {"r": ("q", 1)})
@@ -448,7 +448,7 @@ def test_names_round_trip_on_parsed_and_embedded_structures(
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_names_round_trip_on_generated_structures(data):
-    """Bottom targets and shifts up to m included."""
+    """Bottom targets and shifts up to m-1 included."""
     with constructions() as made:
         data.draw(test_trim.structures())
     assert_names_round_trip(made)

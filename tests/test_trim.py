@@ -396,8 +396,8 @@ def test_trim_is_reference_where_paths_converge():
 @st.composite
 def structures(draw):
     """2-4 layers of 1-3 states over one or two symbols with a partial
-    delta; gamma targets are layer-1 states or bottom, shifts 1..m, the full
-    m included."""
+    delta; gamma targets are layer-1 states or bottom, shifts 1..m-1, the
+    range `Qds` admits."""
     m = draw(st.integers(2, 4))
     alphabet = ("a", "b")[: draw(st.integers(1, 2))]
     sizes = [draw(st.integers(1, 3)) for _ in range(m)]
@@ -406,7 +406,7 @@ def structures(draw):
     delta = {(p, x): draw(st.sampled_from(nxt))
              for layer, nxt in zip(layers, layers[1:])
              for p in layer for x in alphabet if draw(st.booleans())}
-    gamma = {p: (draw(st.sampled_from(layers[0] + (None,))), draw(st.integers(1, m)))
+    gamma = {p: (draw(st.sampled_from(layers[0] + (None,))), draw(st.integers(1, m - 1)))
              for p in layers[-1]}
     finals = draw(st.sets(st.sampled_from(sum(layers, ()))))
     return Qds(alphabet, layers, layers[0][0], finals, delta, gamma)
@@ -416,6 +416,19 @@ def structures(draw):
 @given(structures())
 def test_trim_is_reference_on_generated_structures(s):
     assert_walk_is_reference(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures())
+def test_stages_preserve_the_language_on_generated_structures(s):
+    """Prune, trim, the fixpoint quotient and trim then reduce each accept
+    exactly the words `s` accepts, every word up to length 7."""
+    trimmed = trim_qds(s)
+    stages = [prune_unreachable(s), trimmed, quotient(s, equiv_fixpoint(s)),
+              quotient(trimmed, equiv_fixpoint(trimmed))]
+    for w in words_up_to(s.alphabet, 7):
+        want = qds_membership(s, w).accepted
+        assert [qds_membership(t, w).accepted for t in stages] == [want] * 4, w
 
 
 def test_integer_transitions_are_path_dfa_step():
