@@ -245,13 +245,14 @@ def _pstate_name(p) -> str:
 
 def path_dfa_to_nfa(pdfa: PathDfa) -> Nfa:
     """The accessible path-DFA as a plain automaton over the extended
-    alphabet; shift tokens are spelled +1..+m, with more "+" in front when
-    the structure's own alphabet already has such a symbol."""
+    alphabet; shift tokens are spelled +1..+(m-1), the shifts a structure
+    admits, with more "+" in front when the structure's own alphabet already
+    has such a symbol."""
     s = pdfa.source
     plus = "+"
-    while any(f"{plus}{l}" in s.alphabet for l in range(1, s.m + 1)):
+    while any(f"{plus}{l}" in s.alphabet for l in range(1, s.m)):
         plus += "+"
-    alphabet = tuple(s.alphabet) + tuple(f"{plus}{l}" for l in range(1, s.m + 1))
+    alphabet = tuple(s.alphabet) + tuple(f"{plus}{l}" for l in range(1, s.m))
     names = {p: _pstate_name(p) for p in pdfa.states}
     transitions = tuple(
         (

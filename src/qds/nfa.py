@@ -175,27 +175,35 @@ def refine(
     Each pass re-splits `groups` in order: a state's signature is its key
     plus the current class of each successor, -1 for bottom, and a class not
     yet computed reads -1. A group therefore sees the classes earlier groups
-    got in the same pass. The routine stops at the first pass whose class
-    count equals the previous pass's, which, as every pass refines the one
-    before, is the first pass that changes nothing.
+    got in the same pass. Precondition: every group after the first reads
+    only groups before it in the same pass (the first may read any group,
+    itself included). Then, as every pass refines the one before, a pass in
+    which the first group keeps its class count repeats the previous pass
+    group by group, so the routine stops there, after the first group: that
+    pass is the first that changes nothing, and it is counted.
     """
     block = [-1] * (len(key) + 1)  # block[-1] stays -1: bottom reads -1
     current = block.__getitem__
+
+    def split(group: range, total: int) -> int:
+        # all signatures before any write: a state's successors may sit in
+        # its own group
+        sigs = [(key[q], *map(current, succ[q])) for q in group]
+        ids: dict[tuple, int] = {}
+        for q, sig in zip(group, sigs):
+            block[q] = ids.setdefault(sig, total + len(ids))
+        return total + len(ids)
+
+    head, *rest = groups
     count, passes = -1, 0
     while True:
         passes += 1
-        total = 0
-        for group in groups:
-            # all signatures before any write: a state's successors may sit
-            # in its own group
-            sigs = [(key[q], *map(current, succ[q])) for q in group]
-            ids: dict[tuple, int] = {}
-            for q, sig in zip(group, sigs):
-                block[q] = ids.setdefault(sig, total + len(ids))
-            total += len(ids)
+        total = split(head, 0)
         if total == count:
             return block[:-1], passes
         count = total
+        for group in rest:
+            total = split(group, total)
 
 
 def accessible_states(a: Nfa) -> set[str]:

@@ -156,6 +156,21 @@ class Qds:
         return {names[i]: (None if target < 0 else names[target // t.width], shift)
                 for i, (target, shift) in enumerate(t.gamma[top:], top)}
 
+    @cached_property
+    def walk_table(self) -> tuple[list[int], int, dict[int, tuple[int, int]]]:
+        """What `qds_membership` walks: (walk, sink, jump). `walk` is
+        `tables.delta` with bottom replaced by ``sink = len(delta)`` and one
+        sink row of `width` entries appended, all leading to the sink, so a
+        run that hits bottom stays there; `jump` is the gamma entry of each
+        top-layer state keyed by its row offset. Built on first use, outside
+        dataclass equality, hashing and the text formats."""
+        t = self.tables
+        sink = len(t.delta)
+        walk = [sink if r < 0 else r for r in t.delta]
+        walk += [sink] * t.width
+        jump = {i * t.width: g for i, g in enumerate(t.gamma) if g is not None}
+        return walk, sink, jump
+
 
 def _trusted_qds(alphabet, layers, tables: QdsTables) -> Qds:
     """A `Qds` from parts already in their stored types and already known to
@@ -230,12 +245,18 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
 
     Encodes the word once through `Qds.tables` (which also rejects unknown
     symbols before any is read), then walks each window over a k-slice of
-    the codes, one subscript ``delta[state + code]`` per read. The working
-    space is the encoded copy of the input plus O(k). `reads` counts every
-    symbol handed to delta, the one that hits bottom included, for checking
-    the k*ceil(|w|/s) + k time bound: a window that survives adds its
-    length, and the one window that hits bottom, which ends the run, is
-    walked again with a counter.
+    the codes on `Qds.walk_table`, a copy of delta in which bottom is an
+    absorbing sink row: a read is the one subscript ``walk[state + code]``
+    with no test, and the run is tested once per window, for the sink, the
+    last window or a gamma bottom. The working space is the encoded copy of
+    the input plus O(k), beside the per-structure table.
+
+    `reads` counts every symbol handed to delta, the one that hits bottom
+    included, for checking the k*ceil(|w|/s) + k time bound. Every window
+    before the last is full, so ``reads = shifts * k`` plus the last
+    window's length, or, for the one window that reaches the sink, its count
+    up to bottom, taken by walking it again on delta. The sink lookups a
+    window makes after bottom, at most k-1 per call, are not reads.
     """
     t = s.tables
     if want_trace or not isinstance(w, (str, tuple, list)):
@@ -244,41 +265,37 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
         codes = list(map(t.code.__getitem__, w))
     except KeyError as exc:
         raise InputError(f"unknown symbol {exc.args[0]!r}") from None
-    delta, gamma, width, k = t.delta, t.gamma, t.width, s.window
+    walk, sink, jump = s.walk_table
+    k = s.window
     last = len(codes) - k  # a window starting here or later is the last one
     steps: list[TraceStep] = []
-    reads = shifts = 0
+    shifts = 0
     current, start = t.initial, 0
     while True:
-        window = codes[start:start + k]
         state = current
-        for c in window:
-            state = delta[state + c]
-            if state < 0:
-                break
-        else:
-            reads += len(window)
-        if state < 0:  # bottom: count up to the symbol that hit it
-            state = current
-            for i, c in enumerate(window, 1):
-                state = delta[state + c]
-                if state < 0:
-                    break
-            reads += i
-            target, shift = -1, 0
-        elif start >= last:  # the last window, possibly partial: no gamma
-            target, shift = -1, 0
-        else:
-            target, shift = gamma[state // width]
-        if want_trace:
-            steps.append(TraceStep(start, s.states[current // width], w[start:start + k],
-                                   shift if target >= 0 else None))
+        for c in codes[start:start + k]:
+            state = walk[state + c]
+        if state == sink or start >= last:
+            break
+        target, shift = jump[state]
         if target < 0:
             break
+        if want_trace:
+            steps.append(TraceStep(start, s.states[current // t.width], w[start:start + k], shift))
         shifts += 1
         current, start = target, start + shift
+    window = codes[start:start + k]
+    reads = shifts * k + len(window)
+    if state == sink:  # bottom: count up to the symbol that hit it
+        state = current
+        for reads, c in enumerate(window, shifts * k + 1):
+            state = t.delta[state + c]
+            if state < 0:
+                break
+    if want_trace:
+        steps.append(TraceStep(start, s.states[current // t.width], w[start:start + k], None))
     terminal = state if start >= last else -1
-    name = s.states[terminal // width] if terminal >= 0 else None
+    name = s.states[terminal // t.width] if terminal >= 0 else None
     return MembershipResult(
         accepted=terminal in t.finals,
         terminal=name,

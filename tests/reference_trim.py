@@ -2,9 +2,9 @@
 
 The library walks the path-DFA on `Qds.tables` and tries only the tokens
 that can fire at a node. This is the construction straight off the
-definition: every state tries every symbol and every shift length through
-`path_dfa_step`, which is also the per-step oracle of the walk, and
-usefulness is lifted over the string-keyed states.
+definition: every state tries every symbol and every shift length 1..m-1
+through `path_dfa_step`, which is also the per-step oracle of the walk,
+and usefulness is lifted over the string-keyed states.
 `reference_trim` must serialise byte-identically to `trim_qds`.
 """
 
@@ -65,7 +65,7 @@ def _is_final(s: Qds, state: PathDfaState) -> bool:
 def reference_path_dfa(s: Qds) -> ReferencePathDfa:
     """Breadth first from (initial, eps, eps), every token at every state."""
     start = PathDfaState(s.initial, (), ())
-    tokens: tuple[Token, ...] = tuple(s.alphabet) + tuple(range(1, s.m + 1))
+    tokens: tuple[Token, ...] = tuple(s.alphabet) + tuple(range(1, s.m))
     order = [start]
     seen = {start}
     transitions: dict[tuple[PathDfaState, Token], PathDfaState] = {}

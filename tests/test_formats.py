@@ -186,11 +186,11 @@ def test_qds_dot(two_lane_qds):
 def test_path_dfa_export(trim_demo_qds):
     pdfa = build_path_dfa(trim_demo_qds)
     a = path_dfa_to_nfa(pdfa)
-    assert a.alphabet == ("a", "b", "c", "+1", "+2", "+3")  # shift tokens follow
+    assert a.alphabet == ("a", "b", "c", "+1", "+2")  # shifts 1..m-1 follow
     assert parse_nfa(serialize_nfa(a)) == a
     clash = Qds(("+1", "b"), (("p",), ("q",)), "p", frozenset(), {("p", "+1"): "q"},
                 {"q": ("p", 1)})
-    assert path_dfa_to_nfa(build_path_dfa(clash)).alphabet == ("+1", "b", "++1", "++2")
+    assert path_dfa_to_nfa(build_path_dfa(clash)).alphabet == ("+1", "b", "++1")
     assert a.is_deterministic
     assert len(a.states) == len(pdfa.states)
     dot = path_dfa_to_dot(pdfa)

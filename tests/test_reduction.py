@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from qds import (
     InputError,
@@ -20,8 +21,10 @@ from qds import (
     trim_qds,
     verify_right_invariant,
 )
+from qds.nfa import refine
 from qds.reduction import LayeredPartition
 from qds.words import words_up_to
+from tests import test_trim
 from tests.reference_reduction import _refine, identity_partition, is_identity, reference_fixpoint
 
 
@@ -85,14 +88,45 @@ def test_refinement_chain_properties():
 
 
 def test_fixpoint_equals_reference_chain():
-    """Classes, their order and `steps` all match the chain on names."""
+    """Classes, their order and `steps` all match the chain on names, also
+    on the compile stage order (built at and above the minimal window,
+    pruned, trimmed), where refine stops in the pass that splits nothing."""
     corpus = list(built_corpus(60))
     corpus += [trim_qds(s) for s in corpus]
+    corpus += [trim_qds(prune_unreachable(s)) for s in test_trim.built_corpus()]
     corpus += [gen_sk_qds(k) for k in range(7)]
     corpus += [build_qds(gen_lk_nfa(k), k + 2, 1) for k in range(9)]
     for s in corpus:
         assert equiv_fixpoint(s) == reference_fixpoint(s)
     assert max(reference_fixpoint(s).steps for s in corpus) >= 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(test_trim.structures())
+def test_fixpoint_equals_reference_chain_on_generated_structures(s):
+    assert equiv_fixpoint(s) == reference_fixpoint(s)
+
+
+class CountedRows(list):
+    """Successor rows that record which states' rows are read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read: list[int] = []
+
+    def __getitem__(self, q):
+        self.read.append(q)
+        return super().__getitem__(q)
+
+
+def test_refine_stops_after_the_first_group():
+    """The first group reads the second's classes of the pass before, the
+    second reads the first's of its own pass. The pass that changes
+    nothing splits the first group alone."""
+    succ = CountedRows([[2], [3], [0], [1]])
+    block, passes = refine([None, None, True, False], succ, [range(0, 2), range(2, 4)])
+    assert (block, passes) == ([0, 1, 2, 3], 3)
+    assert [succ.read.count(q) for q in range(4)] == [3, 3, 2, 2]
 
 
 def test_fixpoint_base_step_ignores_gamma_targets():

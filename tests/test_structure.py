@@ -139,12 +139,26 @@ def test_unknown_symbol_after_bottom_still_raises(two_lane_qds):
         qds_membership(gen_sk_qds(2), "ab" * 5_000 + "x")
 
 
+def hash_outcome(s: Qds):
+    """hash(s), or the type and text of the error it raises: the tables hold
+    a dict and lists, so a `Qds` does not hash today."""
+    try:
+        return hash(s)
+    except TypeError as exc:
+        return type(exc), str(exc)
+
+
 def test_cached_tables_leave_equality_alone(two_lane_qds):
-    s = gen_sk_qds(3)
-    for t in (s, two_lane_qds):
+    """A structure equals, hashes and serializes the same before and after
+    a membership call caches its walk table."""
+    for t in (gen_sk_qds(3), two_lane_qds, build_qds(gen_lk_nfa(2), 4, 1)):
+        text, fresh, before = serialize_qds(t), parse_qds(serialize_qds(t)), hash_outcome(t)
         qds_membership(t, "abba" * 10)
-        assert "tables" in vars(t)
-        assert parse_qds(serialize_qds(t)) == t
+        assert "tables" in vars(t) and "walk_table" in vars(t)
+        assert "walk_table" not in vars(fresh)
+        assert fresh == t and t == fresh
+        assert hash_outcome(t) == before == hash_outcome(fresh)
+        assert serialize_qds(t) == text
 
 
 def test_reads_bound(two_lane_qds, three_state_dfa):
@@ -236,6 +250,79 @@ def test_membership_space_is_the_encoded_copy():
             assert qds_membership(s, long).reads >= len(long)  # the run reads it all
             growth = peak_alloc(s, long) - peak_alloc(s, short)
             assert growth <= 9 * (len(long) - len(short)) + 4_096, (form, growth)
+
+
+def window_edge_qds() -> Qds:
+    """Window 3 with every way a window can end: `c` and `d` kill on layers
+    1 and 2, `b` on layer 3 and an `a` read from r, so bottom can fall on
+    the first, the middle or the last symbol of a window, after a shift
+    too; t shifts 1 to r, v shifts 1 to p and u's gamma is bottom."""
+    return Qds(("a", "b", "c", "d"), (("p", "r"), ("x",), ("y",), ("t", "u", "v")), "p",
+               {"p", "x", "t"},
+               {("p", "a"): "x", ("p", "b"): "x", ("r", "b"): "x", ("x", "a"): "y",
+                ("x", "b"): "y", ("y", "a"): "t", ("y", "c"): "u", ("y", "d"): "v"},
+               {"t": ("r", 1), "u": (None, 2), "v": ("p", 1)})
+
+
+def assert_trace_is_the_run(s: Qds, w, r) -> None:
+    """Each step reads w[offset:offset+k] from the layer-1 state the shifts
+    before it reached, by the names; the last step has no shift."""
+    steps, k = r.trace.steps, s.window
+    assert len(steps) == r.shifts + 1 and steps[-1].shift is None
+    offset, state = 0, s.initial
+    for step in steps:
+        assert (step.offset, step.state, step.consumed) == (offset, state, tuple(w[offset:offset + k]))
+        if step.shift is None:
+            break
+        end = state
+        for a in step.consumed:
+            end = s.delta[(end, a)]
+        state, shift = s.gamma[end]
+        assert shift == step.shift
+        offset += shift
+    assert r.trace.terminal == r.terminal
+
+
+def test_membership_at_window_edges_matches_reference():
+    """Every word up to 6 symbols over `window_edge_qds`, and up to 9 over
+    S_2, as a str, a tuple and an iterator, with and without a trace: the
+    counts are the definition's and the trace is the run, wherever in its
+    window the run ends."""
+    ends = set()
+    for s, n in ((window_edge_qds(), 6), (gen_sk_qds(2), 9)):
+        k = s.window
+        for w in words_up_to(s.alphabet, n):
+            want = counted_run(s, s.initial, w)
+            at = want.reads - k * want.shifts  # 1-based place of the last read in its window
+            where = {1: "first", k: "last"}.get(at, "middle") if want.end == "delta" else want.end
+            ends.add(("empty" if not w else where, want.shifts > 0))
+            expected = (want.terminal in s.finals, want.terminal, want.reads, want.shifts)
+            runs = [qds_membership(s, form, want_trace=trace)
+                    for trace in (False, True) for form in ("".join(w), w, iter(w))]
+            for r in runs:
+                assert (r.accepted, r.terminal, r.reads, r.shifts) == expected, (s, w)
+            for r in runs[3:]:
+                assert_trace_is_the_run(s, w, r)
+            assert len({r.trace for r in runs[3:]}) == 1
+    assert ends == {("empty", False)} | {(end, shifted) for shifted in (False, True)
+                                          for end in ("first", "middle", "last",
+                                                      "gamma", "full", "partial")}
+
+
+def test_walk_table_is_built_once():
+    """The first membership call builds the sink-completed copy of delta and
+    the gamma entries by row offset; later calls reuse it."""
+    for s in (window_edge_qds(), gen_sk_qds(3), prune_unreachable(build_qds(gen_lk_nfa(2), 4, 1))):
+        assert "walk_table" not in vars(s)
+        qds_membership(s, "ab")
+        walk, sink, jump = table = vars(s)["walk_table"]
+        t = s.tables
+        assert sink == len(t.delta)
+        assert walk == [sink if r < 0 else r for r in t.delta] + [sink] * t.width
+        top = len(s.states) - len(s.layers[-1])
+        assert jump == {i * t.width: t.gamma[i] for i in range(top, len(s.states))}
+        qds_membership(s, "abba" * 20, want_trace=True)
+        assert vars(s)["walk_table"] is table and s.walk_table is table
 
 
 def test_trace_renders(two_lane_qds):
