@@ -26,13 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 from .words import Word, as_word, check_token, word_str
 
 GammaEntry = tuple[str | None, int]  # (target or bottom, shift)
+
+_CHUNK = 4096  # symbols `qds_membership` reads from an iterator word at a time
 
 
 class QdsTables(NamedTuple):
@@ -114,6 +116,11 @@ class Qds:
         object.__setattr__(self, "tables", QdsTables(code, width, row[initial], int_delta,
                                                      int_gamma, frozenset(row[q] for q in finals)))
 
+    def __hash__(self) -> int:
+        """Over the names: equal structures have equal alphabets and layers,
+        and the tables hold a dict and lists, which do not hash."""
+        return hash((self.alphabet, self.layers))
+
     @property
     def m(self) -> int:
         return len(self.layers)
@@ -170,6 +177,21 @@ class Qds:
         walk += [sink] * t.width
         jump = {i * t.width: g for i, g in enumerate(t.gamma) if g is not None}
         return walk, sink, jump
+
+    @cached_property
+    def symbol_bytes(self) -> bytes | None:
+        """The `bytes.translate` table of `qds_membership`'s encoder: each
+        symbol that is one latin-1 character maps to its code, every other
+        byte to the sentinel 255. None when the alphabet has 255 symbols or
+        more, so that a code may not fit in a byte below the sentinel. Built
+        on first use, like `walk_table`."""
+        if len(self.alphabet) >= 255:
+            return None
+        table = bytearray(b"\xff" * 256)
+        for a, c in self.tables.code.items():
+            if len(a) == 1 and ord(a) < 256:
+                table[ord(a)] = c
+        return bytes(table)
 
 
 def _trusted_qds(alphabet, layers, tables: QdsTables) -> Qds:
@@ -240,16 +262,42 @@ class MembershipResult:
     trace: RunTrace | None = field(default=None, compare=False)
 
 
+def _encode(chunk: Iterable[str], table: bytes | None,
+            code: dict[str, int]) -> bytes | list[int]:
+    """The codes of a chunk of symbols, one byte each, or a list of ints when
+    `table` (`Qds.symbol_bytes`) is None. A str goes through `table` in one
+    `translate`; any other chunk, or a str that holds a character the table
+    does not know, is looked up symbol by symbol, which raises on the first
+    unknown one."""
+    if table is not None and isinstance(chunk, str):
+        try:
+            codes = chunk.encode("latin-1").translate(table)
+        except UnicodeEncodeError:
+            pass
+        else:
+            if 255 not in codes:
+                return codes
+    try:
+        return (list if table is None else bytes)(map(code.__getitem__, chunk))
+    except KeyError as exc:
+        raise InputError(f"unknown symbol {exc.args[0]!r}") from None
+
+
 def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> MembershipResult:
     """Iterative windowed membership test.
 
-    Encodes the word once through `Qds.tables` (which also rejects unknown
-    symbols before any is read), then walks each window over a k-slice of
-    the codes on `Qds.walk_table`, a copy of delta in which bottom is an
-    absorbing sink row: a read is the one subscript ``walk[state + code]``
-    with no test, and the run is tested once per window, for the sink, the
-    last window or a gamma bottom. The working space is the encoded copy of
-    the input plus O(k), beside the per-structure table.
+    Encodes the word through `Qds.symbol_bytes`, one byte per symbol, then
+    walks each window over a k-slice of the codes on `Qds.walk_table`, a
+    copy of delta in which bottom is an absorbing sink row: a read is the
+    one subscript ``walk[state + code]`` with no test, and the run is tested
+    once per window, for the sink, the last window or a gamma bottom. A str,
+    tuple or list is encoded whole, so an unknown symbol raises before any
+    is read. Any other iterable is read `_CHUNK` symbols at a time into a
+    buffer that keeps the unread tail from the current window on, refilled
+    when a window reaches its end; once the run ends the rest is encoded
+    chunk by chunk, so an unknown symbol anywhere still raises, and the
+    working space is O(k + _CHUNK) beside the per-structure tables. A traced
+    call copies the word, as its trace holds the windows anyway.
 
     `reads` counts every symbol handed to delta, the one that hits bottom
     included, for checking the k*ceil(|w|/s) + k time bound. Every window
@@ -259,15 +307,16 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
     window makes after bottom, at most k-1 per call, are not reads.
     """
     t = s.tables
-    if want_trace or not isinstance(w, (str, tuple, list)):
+    table, code = s.symbol_bytes, t.code
+    if want_trace:
         w = as_word(w)
-    try:
-        codes = list(map(t.code.__getitem__, w))
-    except KeyError as exc:
-        raise InputError(f"unknown symbol {exc.args[0]!r}") from None
+    if isinstance(w, (str, tuple, list)):
+        codes, rest = _encode(w, table, code), None
+    else:  # the first window finds the buffer empty and fills it
+        codes, rest = _encode((), table, code), iter(w)
     walk, sink, jump = s.walk_table
     k = s.window
-    last = len(codes) - k  # a window starting here or later is the last one
+    last = len(codes) - k  # a window starting here or later is the last one in `codes`
     steps: list[TraceStep] = []
     shifts = 0
     current, start = t.initial, 0
@@ -276,7 +325,14 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
         for c in codes[start:start + k]:
             state = walk[state + c]
         if state == sink or start >= last:
-            break
+            if state == sink or rest is None:
+                break
+            more = _encode(islice(rest, _CHUNK), table, code)
+            if len(more) < _CHUNK:
+                rest = None
+            codes = codes[start:] + more  # walk this window again, on the refilled buffer
+            start, last = 0, len(codes) - k
+            continue
         target, shift = jump[state]
         if target < 0:
             break
@@ -284,6 +340,9 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
             steps.append(TraceStep(start, s.states[current // t.width], w[start:start + k], shift))
         shifts += 1
         current, start = target, start + shift
+    while rest is not None:  # the unread rest of an iterator, for its unknown symbols
+        if len(_encode(islice(rest, _CHUNK), table, code)) < _CHUNK:
+            rest = None
     window = codes[start:start + k]
     reads = shifts * k + len(window)
     if state == sink:  # bottom: count up to the symbol that hit it
@@ -296,13 +355,12 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
         steps.append(TraceStep(start, s.states[current // t.width], w[start:start + k], None))
     terminal = state if start >= last else -1
     name = s.states[terminal // t.width] if terminal >= 0 else None
-    return MembershipResult(
-        accepted=terminal in t.finals,
-        terminal=name,
-        shifts=shifts,
-        reads=reads,
-        trace=RunTrace(tuple(steps), name) if want_trace else None,
-    )
+    # built as `_trusted_qds` builds a `Qds`: the frozen dataclass `__init__`
+    # would set each field through `object.__setattr__`
+    r = object.__new__(MembershipResult)
+    vars(r).update(accepted=terminal in t.finals, terminal=name, shifts=shifts, reads=reads,
+                   trace=RunTrace(tuple(steps), name) if want_trace else None)
+    return r
 
 
 @dataclass(frozen=True)

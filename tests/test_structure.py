@@ -2,7 +2,8 @@ import random
 import re
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
+from itertools import chain, cycle, islice, repeat
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from qds import (
     InputError,
+    MembershipResult,
     PreconditionError,
     Qds,
     build_qds,
@@ -27,6 +29,7 @@ from qds import (
     random_nfa,
     trim_qds,
 )
+from qds import structure
 from qds.formats import parse_nfa, parse_qds, serialize_qds
 from qds.structure import format_trace
 from qds.words import words_up_to
@@ -139,26 +142,30 @@ def test_unknown_symbol_after_bottom_still_raises(two_lane_qds):
         qds_membership(gen_sk_qds(2), "ab" * 5_000 + "x")
 
 
-def hash_outcome(s: Qds):
-    """hash(s), or the type and text of the error it raises: the tables hold
-    a dict and lists, so a `Qds` does not hash today."""
-    try:
-        return hash(s)
-    except TypeError as exc:
-        return type(exc), str(exc)
-
-
 def test_cached_tables_leave_equality_alone(two_lane_qds):
     """A structure equals, hashes and serializes the same before and after
-    a membership call caches its walk table."""
+    a membership call caches its walk table and its encoder table."""
     for t in (gen_sk_qds(3), two_lane_qds, build_qds(gen_lk_nfa(2), 4, 1)):
-        text, fresh, before = serialize_qds(t), parse_qds(serialize_qds(t)), hash_outcome(t)
+        text, fresh, before = serialize_qds(t), parse_qds(serialize_qds(t)), hash(t)
         qds_membership(t, "abba" * 10)
-        assert "tables" in vars(t) and "walk_table" in vars(t)
-        assert "walk_table" not in vars(fresh)
+        assert {"tables", "walk_table", "symbol_bytes"} <= vars(t).keys()
+        assert "walk_table" not in vars(fresh) and "symbol_bytes" not in vars(fresh)
         assert fresh == t and t == fresh
-        assert hash_outcome(t) == before == hash_outcome(fresh)
+        assert hash(t) == before == hash(fresh)
         assert serialize_qds(t) == text
+
+
+def test_structures_are_set_members_and_dict_keys(two_lane_qds):
+    """Equal structures, built or parsed, are one set member and one key."""
+    sk2 = gen_sk_qds(2)
+    parsed = parse_qds(serialize_qds(sk2))
+    qds_membership(parsed, "ab")
+    made = {sk2, parsed, gen_sk_qds(2), gen_sk_qds(3), two_lane_qds,
+            parse_qds(serialize_qds(two_lane_qds))}
+    assert len(made) == 3 and parsed in made
+    names = {sk2: "S_2", two_lane_qds: "lanes"}
+    assert names[parsed] == "S_2" and names[parse_qds(serialize_qds(two_lane_qds))] == "lanes"
+    assert gen_sk_qds(3) not in names
 
 
 def test_reads_bound(two_lane_qds, three_state_dfa):
@@ -243,13 +250,14 @@ def peak_alloc(s: Qds, w) -> int:
 
 def test_membership_space_is_the_encoded_copy():
     """From 4,096 to 65,536 symbols the peak allocation of one call grows by
-    the encoded copy alone: 8 B a code, plus at most 1/8 list growth slack."""
+    the encoded copy alone: one byte a code, and for a str its latin-1
+    bytes beside them while they are translated."""
     for s in (gen_sk_qds(4), prune_unreachable(build_qds(gen_lk_nfa(3), 5, 1))):
         for form in (str, tuple):
             short, long = (form("ab" * (n // 2)) for n in (4_096, 65_536))
             assert qds_membership(s, long).reads >= len(long)  # the run reads it all
             growth = peak_alloc(s, long) - peak_alloc(s, short)
-            assert growth <= 9 * (len(long) - len(short)) + 4_096, (form, growth)
+            assert growth <= 2 * (len(long) - len(short)) + 4_096, (form, growth)
 
 
 def window_edge_qds() -> Qds:
@@ -323,6 +331,124 @@ def test_walk_table_is_built_once():
         assert jump == {i * t.width: t.gamma[i] for i in range(top, len(s.states))}
         qds_membership(s, "abba" * 20, want_trace=True)
         assert vars(s)["walk_table"] is table and s.walk_table is table
+
+
+def test_iterator_chunks_match_reference(monkeypatch):
+    """An iterator word read `_CHUNK` symbols at a time, for every chunk
+    size from 1 to k+1, runs as the definition does, counts and trace
+    included, wherever a window meets a chunk edge."""
+    rng = random.Random(22)
+    for s in (window_edge_qds(), gen_sk_qds(4), prune_unreachable(build_qds(gen_lk_nfa(3), 5, 1))):
+        k = s.window
+        words = [*words_up_to(s.alphabet, 5 if len(s.alphabet) > 2 else 9), *count_words(s, rng)]
+        wants = [counted_run(s, s.initial, w) for w in words]
+        for chunk in range(1, k + 2):
+            monkeypatch.setattr(structure, "_CHUNK", chunk)
+            for w, want in zip(words, wants):
+                expected = (want.terminal in s.finals, want.terminal, want.reads, want.shifts)
+                for trace in (False, True):
+                    r = qds_membership(s, iter(w), want_trace=trace)
+                    assert (r.accepted, r.terminal, r.reads, r.shifts) == expected, (s, w, chunk)
+                assert_trace_is_the_run(s, w, r)
+            # an unknown symbol chunks after the start raises, on window_edge_qds
+            # also after `c` has sent the run to bottom on its first read
+            late = ("a",) * (3 * chunk) + ("x",) + ("a",) * chunk
+            for head in [()] + [("c",)] * ("c" in s.alphabet):
+                if head:
+                    r = qds_membership(s, iter(head + late[:3 * chunk]))
+                    assert (r.terminal, r.reads) == (None, 1)
+                with pytest.raises(InputError, match="^unknown symbol 'x'$"):
+                    qds_membership(s, iter(head + late))
+
+
+def stride_qds(k: int) -> Qds:
+    """Window k over {a, b}, every window read whole and shifted by k, so
+    each symbol is read once."""
+    return Qds("ab", [(f"p{i}",) for i in range(k + 1)], "p0", {f"p{k}"},
+               {(f"p{i}", a): f"p{i + 1}" for i in range(k) for a in "ab"},
+               {f"p{k}": ("p0", k)})
+
+
+def test_iterator_space_is_constant():
+    """An iterator word takes the same bounded working space at 1 M and at
+    4 M symbols: the buffer holds at most k + `_CHUNK` codes. So does the
+    rest of a word after its run has died, which is only checked for
+    unknown symbols."""
+    runs = [(stride_qds(32), lambda n: islice(cycle("ab"), n), (True, "p32")),
+            (window_edge_qds(), lambda n: chain("c", repeat("a", n)), (False, None))]
+    for s, word, (accepted, terminal) in runs:
+        for n in (1 << 20, 1 << 22):
+            tracemalloc.start()
+            try:
+                r = qds_membership(s, word(n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (r.accepted, r.terminal) == (accepted, terminal)
+            assert r.reads == (n if accepted else 1)
+            assert peak <= 32 * 1024, (n, peak)
+
+
+def parity_qds(alphabet) -> Qds:
+    """Window 2: a window's first symbol leads to x or y by the parity of its
+    place in `alphabet`, x shifts 1 and y shifts 2, so every code shows in
+    the run; the last symbol of `alphabet` is never read."""
+    live = alphabet[:-1]
+    return Qds(alphabet, (("p",), ("x", "y"), ("t", "u")), "p", {"t"},
+               {**{("p", a): "xy"[i % 2] for i, a in enumerate(live)},
+                **{("x", a): "t" for a in live}, **{("y", a): "u" for a in live}},
+               {"t": ("p", 1), "u": ("p", 2)})
+
+
+def test_encoder_edges():
+    """Symbols outside latin-1, multi-character symbols, an alphabet too
+    wide for a byte code, \\xff known and unknown, and the empty word run as
+    the definition does in every word form; an unknown symbol raises the
+    definition's error, naming the first one."""
+    wide = tuple("abcdefghijklmnopqrstuvwxyz") + tuple(chr(0x100 + i) for i in range(274))
+    cases = [(("a", "b", "c"), ("\xff", "α")), (("α", "b", "c"), ("x", "\xff")),
+             (("a", "\xff", "b"), ("x", "α")), (("ab", "c", "d"), ("a", "cd")), (wide, ("?", "\xff"))]
+    rng = random.Random(7)
+    for alphabet, unknown in cases:
+        s = parity_qds(alphabet)
+        assert "symbol_bytes" not in vars(s)
+        words = [(), *(tuple(rng.choice(alphabet) for _ in range(rng.randrange(1, 9)))
+                       for _ in range(300))]
+        for w in words:
+            want = counted_run(s, s.initial, w)
+            forms = [w, list(w), iter(w)] + (["".join(w)] if all(len(a) == 1 for a in w) else [])
+            for form, trace in [(f, False) for f in forms] + [(w, True), (iter(w), True)]:
+                r = qds_membership(s, form, want_trace=trace)
+                assert (r.accepted, r.terminal, r.reads, r.shifts) == (
+                    want.terminal in s.finals, want.terminal, want.reads, want.shifts), (w, form)
+            for x in unknown:
+                for at in (0, len(w)):
+                    bad = w[:at] + (x,) + w[at:] + (unknown[1],)
+                    with pytest.raises(InputError) as err:
+                        counted_run(s, s.initial, bad)
+                    assert str(err.value) == f"unknown symbol {x!r}"
+                    forms = [bad, iter(bad)] + (["".join(bad)] if all(len(a) == 1 for a in bad) else [])
+                    for form in forms:
+                        with pytest.raises(InputError) as err:
+                            qds_membership(s, form)
+                        assert str(err.value) == f"unknown symbol {x!r}", (bad, form)
+        table = s.symbol_bytes
+        if len(alphabet) >= 255:
+            assert table is None
+        else:
+            assert table == bytes(s.tables.code.get(chr(b), 255) for b in range(256))
+
+
+def test_membership_result_is_a_frozen_value(two_lane_qds):
+    """A result compares, hashes and prints as its fields, the trace left out
+    of equality, and takes no assignment."""
+    r = qds_membership(two_lane_qds, "bbbaabab", want_trace=True)
+    plain = MembershipResult(True, "7", 4, r.reads)
+    assert r == plain and hash(r) == hash(plain) and r.trace is not None
+    assert repr(r) == repr(MembershipResult(True, "7", 4, r.reads, r.trace))
+    assert repr(qds_membership(two_lane_qds, "bbbaabab")) == repr(plain)
+    with pytest.raises(FrozenInstanceError):
+        r.reads = 0
 
 
 def test_trace_renders(two_lane_qds):
