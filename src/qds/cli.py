@@ -39,22 +39,17 @@ def _write_text(path: str | None, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_nfa(path: str) -> Nfa:
+def _load(path: str, kind: type[Nfa] | type[Qds]) -> Nfa | Qds:
+    """The automaton or structure in `path`, refused unless it is a `kind`."""
     obj = formats.parse_automaton(_read_text(path))
-    if not isinstance(obj, Nfa):
-        raise InputError(f"{path}: expected an automaton, found a QDS")
-    return obj
-
-
-def _load_qds(path: str) -> Qds:
-    obj = formats.parse_automaton(_read_text(path))
-    if not isinstance(obj, Qds):
-        raise InputError(f"{path}: expected a QDS, found an automaton")
+    if not isinstance(obj, kind):
+        want, found = ("a QDS", "an automaton") if kind is Qds else ("an automaton", "a QDS")
+        raise InputError(f"{path}: expected {want}, found {found}")
     return obj
 
 
 def _cmd_check(args) -> int:
-    a = _load_nfa(args.file)
+    a = _load(args.file, Nfa)
     witness = kl.kl_witness(a, args.k, args.l)
     if witness is None:
         print(f"UNAMBIGUOUS({args.k},{args.l})")
@@ -65,7 +60,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_exists(args) -> int:
-    a = _load_nfa(args.file)
+    a = _load(args.file, Nfa)
     report = kl.exists_kl(a)
     if report.exists:
         print("EXISTS")
@@ -76,7 +71,7 @@ def _cmd_exists(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
-    a = _load_nfa(args.file)
+    a = _load(args.file, Nfa)
     found = kl.find_minimal_kl(a)
     if found is None:
         print("NONE no pair exists for any (k,l)")
@@ -86,7 +81,7 @@ def _cmd_minimal(args) -> int:
 
 
 def _cmd_steptable(args) -> int:
-    a = _load_nfa(args.file)
+    a = _load(args.file, Nfa)
     table = kl.step_table(a, args.k, args.l)
     lines = ["state\tword\tindex\tsuccessor"]
     rows = ((q, w) for q in a.states for w in words_of_length(a.alphabet, args.k))
@@ -97,7 +92,7 @@ def _cmd_steptable(args) -> int:
 
 
 def _cmd_lookahead(args) -> int:
-    a = _load_nfa(args.file)
+    a = _load(args.file, Nfa)
     if kl.is_k_lookahead_deterministic(a, args.k):
         print(f"LOOKAHEAD({args.k})=true")
         return 0
@@ -106,18 +101,18 @@ def _cmd_lookahead(args) -> int:
 
 
 def _cmd_build_qds(args) -> int:
-    a = _load_nfa(args.file)
+    a = _load(args.file, Nfa)
     s = build.build_qds(a, args.k, args.l)
     _write_text(args.out, formats.serialize_qds(s))
     return 0
 
 
 def _cmd_member(args) -> int:
-    s = _load_qds(args.file)
+    s = _load(args.file, Qds)
     w = formats.parse_word(args.word, s.alphabet)
     result = structure.qds_membership(s, w, want_trace=args.trace)
     if args.trace:
-        print(structure.format_trace(result, w))
+        print(structure.format_trace(result))
     verdict = "ACCEPT" if result.accepted else "REJECT"
     terminal = "_" if result.terminal is None else result.terminal
     print(f"{verdict} state={terminal} shifts={result.shifts} reads={result.reads}")
@@ -125,7 +120,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_trim(args) -> int:
-    s = _load_qds(args.file)
+    s = _load(args.file, Qds)
     t = trim.trim_qds(s)
     _write_text(args.out, formats.serialize_qds(t))
     if args.report:
@@ -142,7 +137,7 @@ def _cmd_trim(args) -> int:
 
 
 def _cmd_pathdfa(args) -> int:
-    s = _load_qds(args.file)
+    s = _load(args.file, Qds)
     pdfa = trim.build_path_dfa(s)
     if args.dot:
         _write_text(args.out, formats.path_dfa_to_dot(pdfa))
@@ -152,7 +147,7 @@ def _cmd_pathdfa(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    s = _load_qds(args.file)
+    s = _load(args.file, Qds)
     partition = reduction.equiv_fixpoint(s)
     quotiented = reduction.quotient(s, partition)
     _write_text(args.out, formats.serialize_qds(quotiented))
@@ -169,19 +164,19 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_dfa2qds(args) -> int:
-    a = _load_nfa(args.file)
+    a = _load(args.file, Nfa)
     _write_text(args.out, formats.serialize_qds(build.dfa_to_qds(a)))
     return 0
 
 
 def _cmd_determinize(args) -> int:
-    a = _load_nfa(args.file)
+    a = _load(args.file, Nfa)
     _write_text(args.out, formats.serialize_nfa(determinize(a)))
     return 0
 
 
 def _cmd_minimize(args) -> int:
-    a = _load_nfa(args.file)
+    a = _load(args.file, Nfa)
     if not a.is_deterministic:
         raise InputError("minimize needs a deterministic automaton; determinize first")
     d = Dfa(a.alphabet, a.states, a.initials, a.finals, a.transitions)
@@ -195,8 +190,7 @@ def _cmd_family(args) -> int:
         prefix = args.prefix or f"lk{args.emit}"
         _write_text(f"{prefix}.nfa", formats.serialize_nfa(inst.nfa))
         _write_text(f"{prefix}.qds", formats.serialize_qds(inst.sk))
-        dfa = minimize_dfa(determinize(inst.nfa))
-        _write_text(f"{prefix}.dfa", formats.serialize_nfa(dfa))
+        _write_text(f"{prefix}.dfa", formats.serialize_nfa(inst.dfa))
         if not args.porcelain:
             print(f"wrote {prefix}.nfa {prefix}.qds {prefix}.dfa", file=sys.stderr)
         return 0
@@ -214,7 +208,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    s = _load_qds(args.file)
+    s = _load(args.file, Qds)
     stats = structure.qds_stats(s)
     lines = [
         f"layers\t{stats.m}",

@@ -11,12 +11,13 @@ import random
 from dataclasses import dataclass
 
 from .errors import SIZE_BUDGET, InputError
-from .nfa import Nfa, determinize, minimize_dfa
+from .nfa import Dfa, Nfa, determinize, minimize_dfa
 from .reduction import equiv_fixpoint, quotient
 from .structure import GammaEntry, Qds, qds_membership
 from .trim import trim_qds
 
 ALPHABET = ("a", "b")
+WORDS_PER_ROW = 1000  # random words per `gap_report` row
 
 
 def gen_lk_nfa(k: int) -> Nfa:
@@ -113,7 +114,7 @@ class FamilyInstance:
     k: int
     nfa: Nfa
     sk: Qds
-    dfa_states: int
+    dfa: Dfa  # the minimal DFA of L_k, 2^(k+1) states
 
 
 def _check_dfa_budget(k: int) -> None:
@@ -130,8 +131,7 @@ def _check_dfa_budget(k: int) -> None:
 def family_instance(k: int) -> FamilyInstance:
     _check_dfa_budget(k)
     nfa = gen_lk_nfa(k)
-    dfa = minimize_dfa(determinize(nfa))
-    return FamilyInstance(k=k, nfa=nfa, sk=gen_sk_qds(k), dfa_states=len(dfa.states))
+    return FamilyInstance(k=k, nfa=nfa, sk=gen_sk_qds(k), dfa=minimize_dfa(determinize(nfa)))
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ class GapReport:
         return "\n".join(lines)
 
 
-def gap_report(k_max: int, seed: int = 0, words_per_row: int = 1000) -> GapReport:
+def gap_report(k_max: int, seed: int = 0) -> GapReport:
     """Measured sizes (never formula-derived) for every k up to k_max, plus
     the read cost of running random words through S_k. DFA construction is
     exponential in k: k_max beyond ~16 is slow, and beyond 18 it is refused
@@ -182,7 +182,7 @@ def gap_report(k_max: int, seed: int = 0, words_per_row: int = 1000) -> GapRepor
         reads = 0
         symbols = 0
         length = 10 * (k + 2)
-        for _ in range(words_per_row):
+        for _ in range(WORDS_PER_ROW):
             w = tuple(rng.choice(ALPHABET) for _ in range(length))
             reads += qds_membership(inst.sk, w).reads
             symbols += length
@@ -191,7 +191,7 @@ def gap_report(k_max: int, seed: int = 0, words_per_row: int = 1000) -> GapRepor
                 k=k,
                 nfa_states=len(inst.nfa.states),
                 sk_states=len(inst.sk.states),
-                dfa_states=inst.dfa_states,
+                dfa_states=len(inst.dfa.states),
                 sk_after_trim=len(trimmed.states),
                 sk_after_reduce=len(reduced.states),
                 membership_reads_per_symbol=reads / symbols if symbols else 0.0,

@@ -8,7 +8,7 @@ with `@` or contain `#`.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError
 from .nfa import Nfa
@@ -17,16 +17,22 @@ from .trim import PathDfa
 from .words import Word, word_str
 
 
-def _tokenize(text: str) -> list[list[str]]:
-    rows = []
+def _rows(text: str) -> Iterator[list[str]]:
+    """The whitespace-split lines of `text`, comments and blank lines left out."""
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    return rows
+        row = raw.split("#", 1)[0].split()
+        if row:
+            yield row
 
 
-def _collect(rows: list[list[str]], type_tag: str) -> tuple[dict[str, list[list[str]]], list[list[str]]]:
+def _tokenize(text: str) -> list[list[str]]:
+    return list(_rows(text))
+
+
+def _collect(text: str, type_tag: str, known: set[str]) -> tuple[dict[str, list[list[str]]], list[list[str]]]:
+    """The `@` rows of a document by directive, and its plain rows; any
+    directive outside `known` is refused."""
+    rows = _tokenize(text)
     if not rows or rows[0][:2] != ["@type", type_tag]:
         raise InputError(f"expected '@type {type_tag}' on the first line")
     directives: dict[str, list[list[str]]] = {}
@@ -36,6 +42,9 @@ def _collect(rows: list[list[str]], type_tag: str) -> tuple[dict[str, list[list[
             directives.setdefault(row[0], []).append(row[1:])
         else:
             plain.append(row)
+    unknown = set(directives) - known
+    if unknown:
+        raise InputError(f"unknown directives: {sorted(unknown)}")
     return directives, plain
 
 
@@ -62,11 +71,7 @@ def _natural(tok: str, message: str) -> int:
 
 
 def parse_nfa(text: str) -> Nfa:
-    directives, plain = _collect(_tokenize(text), "nfa")
-    known = {"@alphabet", "@states", "@initial", "@final"}
-    unknown = set(directives) - known
-    if unknown:
-        raise InputError(f"unknown directives: {sorted(unknown)}")
+    directives, plain = _collect(text, "nfa", {"@alphabet", "@states", "@initial", "@final"})
     alphabet = tuple(_single(directives, "@alphabet"))
     states = tuple(_single(directives, "@states"))
     initials = frozenset(_single(directives, "@initial"))
@@ -92,11 +97,8 @@ def serialize_nfa(a: Nfa) -> str:
 
 
 def parse_qds(text: str) -> Qds:
-    directives, plain = _collect(_tokenize(text), "qds")
-    known = {"@alphabet", "@layers", "@layer", "@initial", "@final", "@gamma"}
-    unknown = set(directives) - known
-    if unknown:
-        raise InputError(f"unknown directives: {sorted(unknown)}")
+    directives, plain = _collect(
+        text, "qds", {"@alphabet", "@layers", "@layer", "@initial", "@final", "@gamma"})
     alphabet = tuple(_single(directives, "@alphabet"))
     layers_row = _single(directives, "@layers")
     if len(layers_row) != 1:
@@ -160,10 +162,10 @@ def serialize_qds(s: Qds) -> str:
 
 
 def parse_automaton(text: str) -> Nfa | Qds:
-    rows = _tokenize(text)
-    if not rows or rows[0][0] != "@type" or len(rows[0]) != 2:
+    first = next(_rows(text), None)  # the first row only; the parser tokenises the text
+    if first is None or first[0] != "@type" or len(first) != 2:
         raise InputError("first line must be '@type nfa' or '@type qds'")
-    kind = rows[0][1]
+    kind = first[1]
     if kind == "nfa":
         return parse_nfa(text)
     if kind == "qds":
@@ -171,23 +173,20 @@ def parse_automaton(text: str) -> Nfa | Qds:
     raise InputError(f"unknown @type {kind!r}")
 
 
-def parse_word(text: str, alphabet: Iterable[str]) -> Word:
+def parse_word(text: str, alphabet: Iterable[str]) -> str | Word:
     """A word from CLI text: `_` or the empty string is the empty word;
     whitespace splits multi-character symbols, otherwise each character is
-    one symbol."""
-    alpha = tuple(alphabet)
+    one symbol, so over single-character symbols the text itself is the
+    word. Symbols are not checked here: `qds_membership` refuses the first
+    unknown one."""
     if text in ("", "_"):
         return ()
-    if any(c.isspace() for c in text):
-        symbols = tuple(text.split())
-    elif all(len(a) == 1 for a in alpha):
-        symbols = tuple(text)
-    else:
-        symbols = (text,)
-    for sym in symbols:
-        if sym not in alpha:
-            raise InputError(f"unknown symbol {sym!r}")
-    return symbols
+    symbols = text.split()
+    if symbols != [text]:  # `check_token`'s whitespace test
+        return tuple(symbols)
+    if all(len(a) == 1 for a in alphabet):
+        return text
+    return (text,)
 
 
 def _quote(name: str) -> str:

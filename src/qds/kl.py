@@ -38,7 +38,7 @@ from itertools import islice
 from . import kernels
 from .errors import SIZE_BUDGET, InputError, PreconditionError
 from .nfa import Nfa, Node, accessible_states, delta_word
-from .words import Word, as_word, words_of_length
+from .words import Word, words_of_length
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,7 @@ def step(a: Nfa, k: int, l: int, q: str, w) -> StepEntry:
     row rule `_split`. Raises when no split qualifies, i.e. when (q,w)
     witnesses ambiguity."""
     _check_request(a, k, l)
-    w = as_word(w)
+    w = tuple(w)
     if len(w) != k:
         raise InputError(f"window must have length {k}, got {len(w)}")
     if q not in a.states:

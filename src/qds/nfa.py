@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, TypeVar
 
 from .errors import SIZE_BUDGET, InputError, PreconditionError
-from .words import as_word, check_token
+from .words import check_token
 
 Transition = tuple[str, str, str]
 Node = TypeVar("Node", bound=Hashable)
@@ -123,7 +123,7 @@ def delta_word(a: Nfa, start: Iterable[str], w: Iterable[str]) -> frozenset[str]
     current = frozenset(start)
     if not current <= set(a.states):
         raise InputError("start set contains undeclared states")
-    for sym in as_word(w):
+    for sym in w:
         if sym not in a.alphabet:
             raise InputError(f"unknown symbol {sym!r}")
         nxt: set[str] = set()

@@ -30,7 +30,7 @@ from itertools import chain, compress, islice
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
-from .words import Word, as_word, check_token, word_str
+from .words import Word, check_token, word_str
 
 GammaEntry = tuple[str | None, int]  # (target or bottom, shift)
 
@@ -309,7 +309,7 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
     t = s.tables
     table, code = s.symbol_bytes, t.code
     if want_trace:
-        w = as_word(w)
+        w = tuple(w)
     if isinstance(w, (str, tuple, list)):
         codes, rest = _encode(w, table, code), None
     else:  # the first window finds the buffer empty and fills it
@@ -389,10 +389,9 @@ def qds_stats(s: Qds) -> QdsStats:
     )
 
 
-def format_trace(result: MembershipResult, w: Iterable[str]) -> str:
+def format_trace(result: MembershipResult) -> str:
     """Render a run as the sliding-window table: one row per window, the
     current layer-1 state, the consumed symbols, and the shift taken."""
-    w = as_word(w)
     if result.trace is None:
         raise InputError("run the membership test with want_trace=True")
     header = "offset\tstate\twindow\tshift"

@@ -21,10 +21,6 @@ def check_token(tok: str, kind: str) -> None:
         raise InputError(f"bad {kind} {tok!r}")
 
 
-def as_word(w: Iterable[str]) -> Word:
-    return tuple(w)
-
-
 def words_of_length(alphabet: Iterable[str], length: int) -> Iterator[Word]:
     """All words of exactly `length` symbols, lexicographic in alphabet order."""
     return itertools.product(tuple(alphabet), repeat=length)

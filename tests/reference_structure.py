@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 from qds.errors import InputError, PreconditionError
 from qds.structure import Qds
-from qds.words import Word, as_word
+from qds.words import Word
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def counted_run(s: Qds, q: str, w: Iterable[str]) -> Run:
     """
     if s.layer_of.get(q) != 1:
         raise PreconditionError(f"state {q!r} is not a layer-1 state")
-    w = as_word(w)
+    w = tuple(w)
     for sym in w:
         if sym not in s.alphabet:
             raise InputError(f"unknown symbol {sym!r}")

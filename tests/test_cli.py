@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qds import gen_lk_nfa
+from qds import cli, determinize, family, formats, gen_lk_nfa, minimize_dfa
 from qds.cli import main
 from qds.formats import parse_nfa, parse_qds, serialize_nfa, serialize_qds
 from qds.kernels import _python_witness
@@ -232,6 +232,50 @@ def test_member_trace(qds_file, capsys):
     assert "offset\tstate\twindow\tshift" in out
 
 
+MULTI_CHAR_QDS = """@type qds
+@alphabet aa bb
+@layers 2
+@layer 1 p
+@layer 2 q
+@initial p
+@final q
+p aa q
+@gamma q p 1
+"""
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+@pytest.mark.parametrize("multi, word, bad", [
+    (False, "abxab", "x"),       # single-character text
+    (False, "a b x a", "x"),     # whitespace-separated symbols
+    (False, "a b\tab", "ab"),    # a multi-character symbol over one-letter ones
+    (False, "\u00e9ab", "\u00e9"),  # past the byte table
+    (True, "cc", "cc"),          # one multi-character symbol
+    (True, "aa cc bb dd", "cc"),
+])
+def test_member_unknown_symbol_exit_2(qds_file, tmp_path, capsys, trace, multi, word, bad):
+    """The encoder of `qds_membership` is the one symbol check: the first
+    unknown symbol is named, nothing is printed on stdout."""
+    path = qds_file
+    if multi:
+        path = tmp_path / "multi.qds"
+        path.write_text(MULTI_CHAR_QDS)
+    assert main(["member", "--word", word, *trace, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: unknown symbol {bad!r}\n"
+
+
+def test_file_is_tokenised_once(qds_file, w4_file, capsys, monkeypatch):
+    """`parse_automaton` reads the first row alone; the parser tokenises."""
+    calls = []
+    tokenize = formats._tokenize
+    monkeypatch.setattr(formats, "_tokenize", lambda text: calls.append(text) or tokenize(text))
+    assert main(["stats", qds_file]) == 0
+    assert main(["check", "--k", "4", "--l", "3", w4_file]) == 0
+    assert main(["dot", w4_file]) == 0
+    assert len(calls) == 3
+
+
 def test_build_and_member_pipeline(sm_file, tmp_path, capsys):
     out = tmp_path / "built.qds"
     assert (
@@ -348,6 +392,23 @@ def test_family_emit(tmp_path, capsys, monkeypatch):
     assert len(nfa.states) == 3
     assert len(sk.states) == 12
     assert len(dfa.states) == 4 and dfa.is_deterministic
+
+
+def test_family_emit_determinizes_once(tmp_path, capsys, monkeypatch):
+    """The written DFA is the one `family_instance` built."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return determinize(a)
+
+    monkeypatch.setattr(family, "determinize", counted)
+    monkeypatch.setattr(cli, "determinize", counted)
+    monkeypatch.chdir(tmp_path)
+    assert main(["family", "--emit", "3", "--porcelain"]) == 0
+    assert len(calls) == 1
+    want = serialize_nfa(minimize_dfa(determinize(gen_lk_nfa(3))))
+    assert (tmp_path / "lk3.dfa").read_text() == want
 
 
 def test_stats_cli(qds_file, capsys):

@@ -104,7 +104,7 @@ def test_three_recognizers_agree():
 
 
 def test_gap_report_rows():
-    report = gap_report(4, seed=3, words_per_row=50)
+    report = gap_report(4, seed=3)
     by_k = {r.k: r for r in report.rows}
     assert by_k[0].nfa_states == 2
     assert by_k[0].sk_states == 5
@@ -119,7 +119,7 @@ def test_gap_report_rows():
 
 
 def test_gap_report_crossover():
-    report = gap_report(6, seed=0, words_per_row=10)
+    report = gap_report(6, seed=0)
     assert report.crossover_k == 6
     csv = report.as_csv()
     assert csv.splitlines()[0].startswith("k,nfa_states,")

@@ -453,9 +453,20 @@ def test_membership_result_is_a_frozen_value(two_lane_qds):
 
 def test_trace_renders(two_lane_qds):
     r = qds_membership(two_lane_qds, "bbbaabab", want_trace=True)
-    text = format_trace(r, "bbbaabab")
+    text = format_trace(r)
     assert "offset\tstate\twindow\tshift" in text
     assert "terminal\t7" in text
+
+
+def test_trace_table_is_the_same_for_every_word_form(two_lane_qds):
+    """The table comes from the result alone; an iterator word is read once,
+    by the membership call."""
+    table = ("offset\tstate\twindow\tshift\n0\t1\tbb\t2\n2\t1\tba\t2\n4\t1\tab\t1\n"
+             "5\t6\tba\t2\n7\t6\tb\t-\nterminal\t7")
+    for w in ("bbbaabab", tuple("bbbaabab"), iter("bbbaabab")):
+        assert format_trace(qds_membership(two_lane_qds, w, want_trace=True)) == table
+    with pytest.raises(InputError, match="want_trace=True"):
+        format_trace(qds_membership(two_lane_qds, "bbbaabab"))
 
 
 # --- paths ----------------------------------------------------------------
