@@ -34,8 +34,9 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
     The tables come out by arithmetic: pair (q, w) of layer j sits at
     number starts[j] + i*|alphabet|^j + rank(w) for q the i-th source, so
     delta slot x (state x // |alphabet|, symbol x % |alphabet|) leads to
-    state x + |R|. Two pairs with the same printed name are an InputError,
-    and so are names of more than SIZE_BUDGET characters, counted first.
+    state x + |R|, and the top layer's slots lead to the sink. Two pairs
+    with the same printed name are an InputError, and so are names of more
+    than SIZE_BUDGET characters, counted first.
     """
     if table is None:
         table = step_table(a, k, l)  # raises with a witness row if ambiguous
@@ -66,6 +67,7 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
         sizes.pop()
     starts = [0, *accumulate(sizes)]
     width, top = max(len(a.alphabet), 1), starts[-2]
+    sink = starts[-1] * width
     _, pred = kernels.masks(a)
     ends = sum(1 << i for i, q in enumerate(a.states) if q in a.finals)
     finals = [starts[j] + i * len(level) + c  # w leads from q into the finals
@@ -73,13 +75,13 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
               for i, q in enumerate(found)
               for c, f in enumerate(level) if f >> q & 1]
     delta = [r * width for r in range(len(sources), starts[-1])]
-    delta += [-1] * (starts[-1] * width - len(delta))
+    delta += [sink] * (sink + width - len(delta))
     return _trusted_qds(
         a.alphabet,
         tuple(tuple(names[lo:hi]) for lo, hi in zip(starts, starts[1:])),
         QdsTables({x: c for c, x in enumerate(a.alphabet)}, width,
                   source_ix[initial] * width, delta,
-                  [None] * top + [(-1 if t < 0 else source_ix[t] * width, j)
+                  [None] * top + [(sink if t < 0 else source_ix[t] * width, j)
                                   for q in found
                                   for j, t in table.entries[q * rows:(q + 1) * rows]],
                   frozenset(i * width for i in finals)))
@@ -118,8 +120,8 @@ def prune_unreachable(s: Qds) -> Qds:
     every structure `build_qds` returns; it is for parsed structures."""
     t = s.tables
     w, n, delta, gamma = t.width, len(s.states), t.delta, t.gamma
-    seen = bytearray(n * w + 1)  # by row offset; seen[-1] stands for bottom
-    seen[-1] = seen[t.initial] = 1
+    seen = bytearray(len(delta))  # by row offset; the sink is bottom, never kept
+    seen[n * w] = seen[t.initial] = 1
     found = [t.initial]
     for r in found:  # the list grows behind the cursor
         g = gamma[r // w]

@@ -3,9 +3,9 @@ deterministic constructions (subset construction, minimization) the rest of
 the package uses as baselines and test oracles.
 
 Transition functions are partial: a missing (state, symbol) edge simply
-yields no successors. Nothing is completed with a sink: `refine`, the
-partition refinement behind `minimize_dfa` and `reduction.equiv_fixpoint`,
-reads a missing successor as bottom.
+yields no successors. `refine`, the partition refinement behind
+`minimize_dfa` and `reduction.equiv_fixpoint`, has one rule for bottom: it
+is state n of n states, the slot whose class stays -1.
 """
 
 from __future__ import annotations
@@ -168,21 +168,22 @@ def closure(start: Iterable[Node], arcs: Iterable[tuple[Node, Node]]) -> set[Nod
 def refine(
     key: list, succ: list[list[int]], groups: list[range]
 ) -> tuple[list[int], int]:
-    """Coarsest partition of states 0..n-1 stable under `succ` (-1 is
+    """Coarsest partition of states 0..n-1 stable under `succ` (state n is
     bottom), refined from the classes of `key`; returns (class per state,
     passes).
 
     Each pass re-splits `groups` in order: a state's signature is its key
-    plus the current class of each successor, -1 for bottom, and a class not
-    yet computed reads -1. A group therefore sees the classes earlier groups
-    got in the same pass. Precondition: every group after the first reads
+    plus the current class of each successor. Bottom's class is -1 in every
+    pass, and a class not yet computed reads -1 too. A group therefore sees
+    the classes earlier groups got in the same pass. Precondition: every
+    group after the first reads
     only groups before it in the same pass (the first may read any group,
     itself included). Then, as every pass refines the one before, a pass in
     which the first group keeps its class count repeats the previous pass
     group by group, so the routine stops there, after the first group: that
     pass is the first that changes nothing, and it is counted.
     """
-    block = [-1] * (len(key) + 1)  # block[-1] stays -1: bottom reads -1
+    block = [-1] * (len(key) + 1)  # block[n], bottom's slot, stays -1
     current = block.__getitem__
 
     def split(group: range, total: int) -> int:
@@ -200,7 +201,7 @@ def refine(
         passes += 1
         total = split(head, 0)
         if total == count:
-            return block[:-1], passes
+            return block[:len(key)], passes
         count = total
         for group in rest:
             total = split(group, total)
@@ -293,7 +294,7 @@ def minimize_dfa(d: Dfa) -> Dfa:
         dead = min(acc)
         return Dfa(d.alphabet, (dead,), frozenset({dead}), frozenset(), ())
     col = {a: j for j, a in enumerate(d.alphabet)}
-    succ = [[-1] * len(col) for _ in live]
+    succ = [[len(live)] * len(col) for _ in live]  # bottom is state len(live)
     arcs = [(index[p], a, index[q]) for p, a, q in d.transitions
             if p in index and q in index]
     for p, a, q in arcs:

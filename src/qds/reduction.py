@@ -71,7 +71,7 @@ def equiv_fixpoint(s: Qds) -> LayeredPartition:
     w = t.width
     starts = [0, *accumulate(len(layer) for layer in s.layers)]
     top = starts[m - 1]
-    # row offsets and -1 (bottom) both become state numbers by // w
+    # row offsets become state numbers by // w; the sink becomes n, bottom
     slots = [r // w for r in t.delta[:top * w]]
     succ = [slots[i:i + w] for i in range(0, top * w, w)]
     key: list[object] = [None] * starts[1]
@@ -86,7 +86,7 @@ def equiv_fixpoint(s: Qds) -> LayeredPartition:
     # classes in layer order
     number = {b: c for c, b in enumerate(dict.fromkeys(block))}
     cid = [number[b] for b in block]
-    cid.append(-1)  # bottom
+    cid.append(len(number))  # bottom, state n: a number past every class
     p = object.__new__(LayeredPartition)  # its name sets are built when read
     vars(p).update(steps=passes - 2, _numbers=(s.layers, cid))
     return p
@@ -112,15 +112,16 @@ def verify_right_invariant(s: Qds, p: LayeredPartition) -> RightInvariantResult:
 
 def _class_rows(s: Qds, p: LayeredPartition):
     """(verdict, classes in order as collections of names, number of each
-    class's least member, class number per state with -1 at index -1 for
-    bottom), on `Qds.tables`. A partition `equiv_fixpoint` made of this
-    structure hands over its class numbers; any other one is checked against
-    the layers and numbered from its names."""
+    class's least member, class number per state with the number of classes
+    at index n for bottom), on `Qds.tables`. A partition `equiv_fixpoint`
+    made of this structure hands over its class numbers; any other one is
+    checked against the layers and numbered from its names."""
     names = s.states
+    n = len(names)
     if p._numbers is not None and p._numbers[0] is s.layers:
         cid = p._numbers[1]
-        members: list[list[int]] = [[] for _ in range(max(cid) + 1)]
-        for i, c in enumerate(cid[:-1]):
+        members: list[list[int]] = [[] for _ in range(cid[n])]
+        for i, c in enumerate(cid[:n]):
             members[c].append(i)
         classes: list = [[names[i] for i in mem] for mem in members]
     else:
@@ -133,12 +134,12 @@ def _class_rows(s: Qds, p: LayeredPartition):
         ix = {q: i for i, q in enumerate(names)}
         classes = [cls for layer in p.layers for cls in layer]
         members = [[ix[q] for q in cls] for cls in classes]
-        cid = [-1] * (len(names) + 1)
+        cid = [len(classes)] * (n + 1)
         for c, mem in enumerate(members):
             for i in mem:
                 cid[i] = c
     t = s.tables
-    w, top = t.width, len(names) - len(s.layers[-1])
+    w, top = t.width, n - len(s.layers[-1])
     # a state's row: its successors' classes, or (shift, target class) on top
     slots = [cid[r // w] for r in t.delta[:top * w]]
     rows: list[object] = [slots[i:i + w] for i in range(0, top * w, w)]
@@ -185,20 +186,19 @@ def quotient(s: Qds, p: LayeredPartition) -> Qds:
         layers.append(tuple(names[c] for c in here))
         order += here
         lo += len(layer)
-    new = [-1] * (len(classes) + 1)  # class -> row offset; new[-1] is bottom
+    sink = len(order) * w
+    new = [sink] * (len(classes) + 1)  # class -> row offset; bottom's number -> the sink
     for i, c in enumerate(order):
         new[c] = i * w
     start = cid[t.initial // w]
-    delta, gamma = [-1] * (len(order) * w), [None] * len(order)
+    delta, gamma = [sink] * (sink + w), [None] * len(order)
     finals = []
     for c in order:
         r = reps[c]
         if r >= top:
             target, shift = t.gamma[r]
             gamma[new[c] // w] = (new[cid[target // w]], shift)
-        for x, q in enumerate(t.delta[r * w:r * w + len(s.alphabet)]):
-            if q >= 0:
-                delta[new[c] + x] = new[cid[q // w]]
+        delta[new[c]:new[c] + w] = [new[cid[q // w]] for q in t.delta[r * w:r * w + w]]
         if (r * w in t.finals if r >= len(s.layers[0]) else c == start and t.initial in t.finals):
             finals.append(new[c])
     return _trusted_qds(s.alphabet, tuple(layers),

@@ -10,10 +10,11 @@ shift holds a symbol: a run ends in layer 1 only at the initial state on
 the empty word.
 
 A `Qds` is stored as its alphabet, its layers and its integer tables
-(`QdsTables`); `initial`, `finals`, `delta` and `gamma` are read off the
-tables by name when first asked for. `Qds(...)`, and so `parse_qds` and
-every hand-made structure, takes the name-keyed parts, checks every
-invariant and builds the tables once. The compile stages (`build_qds`, the
+(`QdsTables`), whose delta ends in a sink row that stands for bottom, so a
+run that hits bottom stays there; `initial`, `finals`, `delta` and `gamma`
+are read off the tables by name when first asked for. `Qds(...)`, and so
+`parse_qds` and every hand-made structure, takes the name-keyed parts,
+checks every invariant and builds the tables once. The compile stages (`build_qds`, the
 integer `restrict_qds` behind prune and trim, and `quotient`) compute on
 tables and hand them over through `_trusted_qds` instead: every name, layer
 and edge they emit comes from a structure or automaton that was already
@@ -41,15 +42,18 @@ class QdsTables(NamedTuple):
     """The stored form of a structure: states numbered in layer order.
 
     State number i is stored as its row offset i*width, so a read is the one
-    subscript ``delta[state + code]``; -1 is bottom. Row offsets divided by
-    `width` index `gamma` and `Qds.states`.
+    subscript ``delta[state + code]``. With n states, `delta` holds n+1
+    rows: the last, at the sink offset n*width, leads only to itself, and
+    that offset is bottom, in delta and in gamma targets. Row offsets
+    divided by `width` index `gamma` and `Qds.states`; the sink, state n,
+    has neither.
     """
 
     code: dict[str, int]                 # symbol -> column
     width: int                           # row length, max(|alphabet|, 1)
     initial: int
-    delta: list[int]
-    gamma: list[tuple[int, int] | None]  # (target or -1, shift) on the top layer
+    delta: list[int]                     # (n+1)*width entries, the sink row last
+    gamma: list[tuple[int, int] | None]  # (target or the sink, shift) on the top layer
     finals: frozenset[int]
 
 
@@ -107,12 +111,13 @@ class Qds:
         width = max(len(self.alphabet), 1)
         code = {a: i for i, a in enumerate(self.alphabet)}
         row = {q: i * width for i, q in enumerate(self.states)}
-        int_delta = [-1] * (len(self.states) * width)
+        sink = len(self.states) * width
+        int_delta = [sink] * (sink + width)
         for (p, a), q in delta.items():
             int_delta[row[p] + code[a]] = row[q]
         int_gamma: list[tuple[int, int] | None] = [None] * len(self.states)
         for p, (target, shift) in gamma.items():
-            int_gamma[row[p] // width] = (-1 if target is None else row[target], shift)
+            int_gamma[row[p] // width] = (sink if target is None else row[target], shift)
         object.__setattr__(self, "tables", QdsTables(code, width, row[initial], int_delta,
                                                      int_gamma, frozenset(row[q] for q in finals)))
 
@@ -151,32 +156,17 @@ class Qds:
     def delta(self) -> dict[tuple[str, str], str]:
         """Edges by name, in (declared state, declared symbol) order."""
         t, names, sym = self.tables, self.states, self.alphabet
-        w = t.width
+        w, sink = t.width, len(names) * t.width
         return {(names[x // w], sym[x % w]): names[r // w]
-                for x, r in enumerate(t.delta) if r >= 0}
+                for x, r in enumerate(t.delta) if r != sink}
 
     @cached_property
     def gamma(self) -> dict[str, GammaEntry]:
         """Top-layer state -> (target or None for bottom, shift)."""
         t, names = self.tables, self.states
-        top = len(names) - len(self.layers[-1])
-        return {names[i]: (None if target < 0 else names[target // t.width], shift)
+        top, sink = len(names) - len(self.layers[-1]), len(names) * t.width
+        return {names[i]: (None if target == sink else names[target // t.width], shift)
                 for i, (target, shift) in enumerate(t.gamma[top:], top)}
-
-    @cached_property
-    def walk_table(self) -> tuple[list[int], int, dict[int, tuple[int, int]]]:
-        """What `qds_membership` walks: (walk, sink, jump). `walk` is
-        `tables.delta` with bottom replaced by ``sink = len(delta)`` and one
-        sink row of `width` entries appended, all leading to the sink, so a
-        run that hits bottom stays there; `jump` is the gamma entry of each
-        top-layer state keyed by its row offset. Built on first use, outside
-        dataclass equality, hashing and the text formats."""
-        t = self.tables
-        sink = len(t.delta)
-        walk = [sink if r < 0 else r for r in t.delta]
-        walk += [sink] * t.width
-        jump = {i * t.width: g for i, g in enumerate(t.gamma) if g is not None}
-        return walk, sink, jump
 
     @cached_property
     def symbol_bytes(self) -> bytes | None:
@@ -184,7 +174,8 @@ class Qds:
         symbol that is one latin-1 character maps to its code, every other
         byte to the sentinel 255. None when the alphabet has 255 symbols or
         more, so that a code may not fit in a byte below the sentinel. Built
-        on first use, like `walk_table`."""
+        on first use, outside dataclass equality, hashing and the text
+        formats."""
         if len(self.alphabet) >= 255:
             return None
         table = bytearray(b"\xff" * 256)
@@ -220,19 +211,18 @@ def restrict_qds(s: Qds, keep, delta_used, gamma_used, final) -> Qds:
     while len(layers) > 2 and not layers[-1]:
         layers.pop()
     kept = list(compress(range(n), keep))
-    row = [-1] * (n + 1)  # old state -> new row offset; row[-1] is bottom
+    sink = len(kept) * w
+    row = [sink] * (n + 1)  # old state -> new row offset; bottom, state n, -> the sink
     for i, old in enumerate(kept):
         row[old] = i * w
-    delta = [-1] * (len(kept) * w)
+    delta = [sink] * (sink + w)
     for x in compress(range(len(t.delta)), delta_used):
-        if t.delta[x] >= 0:
-            p, c = divmod(x, w)
-            delta[row[p] + c] = row[t.delta[x] // w]
+        p, c = divmod(x, w)
+        delta[row[p] + c] = row[t.delta[x] // w]
     gamma: list[tuple[int, int] | None] = [None] * len(kept)
     for i in range(len(kept) - len(layers[-1]), len(kept)):
         g = t.gamma[kept[i]]
-        target, shift = g if g is not None and gamma_used[kept[i]] else (-1, 1)
-        gamma[i] = (row[target // w], shift)
+        gamma[i] = (row[g[0] // w], g[1]) if g is not None and gamma_used[kept[i]] else (sink, 1)
     return _trusted_qds(
         s.alphabet, tuple(layers),
         QdsTables(t.code, w, row[t.initial // w], delta, gamma,
@@ -287,24 +277,24 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
     """Iterative windowed membership test.
 
     Encodes the word through `Qds.symbol_bytes`, one byte per symbol, then
-    walks each window over a k-slice of the codes on `Qds.walk_table`, a
-    copy of delta in which bottom is an absorbing sink row: a read is the
-    one subscript ``walk[state + code]`` with no test, and the run is tested
-    once per window, for the sink, the last window or a gamma bottom. A str,
-    tuple or list is encoded whole, so an unknown symbol raises before any
-    is read. Any other iterable is read `_CHUNK` symbols at a time into a
-    buffer that keeps the unread tail from the current window on, refilled
-    when a window reaches its end; once the run ends the rest is encoded
-    chunk by chunk, so an unknown symbol anywhere still raises, and the
-    working space is O(k + _CHUNK) beside the per-structure tables. A traced
-    call copies the word, as its trace holds the windows anyway.
+    walks each window over a k-slice of the codes on `tables.delta`, whose
+    bottom is its absorbing sink row: a read is the one subscript
+    ``delta[state + code]`` with no test, and the run is tested once per
+    window, for the sink, the last window or a gamma bottom. A str, tuple or
+    list is encoded whole, so an unknown symbol raises before any is read.
+    Any other iterable is read `_CHUNK` symbols at a time into a buffer that
+    keeps the unread tail from the current window on, refilled when a window
+    reaches its end; once the run ends the rest is encoded chunk by chunk,
+    so an unknown symbol anywhere still raises, and the working space is
+    O(k + _CHUNK) beside the per-structure tables. A traced call copies the
+    word, as its trace holds the windows anyway.
 
     `reads` counts every symbol handed to delta, the one that hits bottom
     included, for checking the k*ceil(|w|/s) + k time bound. Every window
     before the last is full, so ``reads = shifts * k`` plus the last
     window's length, or, for the one window that reaches the sink, its count
-    up to bottom, taken by walking it again on delta. The sink lookups a
-    window makes after bottom, at most k-1 per call, are not reads.
+    up to bottom, taken by walking it again and stopping there. The sink
+    lookups a window makes after bottom, at most k-1 per call, are not reads.
     """
     t = s.tables
     table, code = s.symbol_bytes, t.code
@@ -314,7 +304,8 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
         codes, rest = _encode(w, table, code), None
     else:  # the first window finds the buffer empty and fills it
         codes, rest = _encode((), table, code), iter(w)
-    walk, sink, jump = s.walk_table
+    delta, gamma, width = t.delta, t.gamma, t.width
+    sink = len(delta) - width
     k = s.window
     last = len(codes) - k  # a window starting here or later is the last one in `codes`
     steps: list[TraceStep] = []
@@ -323,7 +314,7 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
     while True:
         state = current
         for c in codes[start:start + k]:
-            state = walk[state + c]
+            state = delta[state + c]
         if state == sink or start >= last:
             if state == sink or rest is None:
                 break
@@ -333,11 +324,11 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
             codes = codes[start:] + more  # walk this window again, on the refilled buffer
             start, last = 0, len(codes) - k
             continue
-        target, shift = jump[state]
-        if target < 0:
+        target, shift = gamma[state // width]
+        if target == sink:
             break
         if want_trace:
-            steps.append(TraceStep(start, s.states[current // t.width], w[start:start + k], shift))
+            steps.append(TraceStep(start, s.states[current // width], w[start:start + k], shift))
         shifts += 1
         current, start = target, start + shift
     while rest is not None:  # the unread rest of an iterator, for its unknown symbols
@@ -348,13 +339,13 @@ def qds_membership(s: Qds, w: Iterable[str], want_trace: bool = False) -> Member
     if state == sink:  # bottom: count up to the symbol that hit it
         state = current
         for reads, c in enumerate(window, shifts * k + 1):
-            state = t.delta[state + c]
-            if state < 0:
+            state = delta[state + c]
+            if state == sink:
                 break
     if want_trace:
-        steps.append(TraceStep(start, s.states[current // t.width], w[start:start + k], None))
-    terminal = state if start >= last else -1
-    name = s.states[terminal // t.width] if terminal >= 0 else None
+        steps.append(TraceStep(start, s.states[current // width], w[start:start + k], None))
+    terminal = state if start >= last else sink
+    name = None if terminal == sink else s.states[terminal // width]
     # built as `_trusted_qds` builds a `Qds`: the frozen dataclass `__init__`
     # would set each field through `object.__setattr__`
     r = object.__new__(MembershipResult)

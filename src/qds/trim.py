@@ -60,11 +60,12 @@ class PathDfa:
     of symbols and shift lengths, with `states`, `finals` and `transitions`
     by name.
 
-    Node i is the integer (x*m + |v|)*(len(delta) + 1) + row, numbered
-    breadth first. An edge names the table entry it takes: its delta slot,
-    or len(delta) + q for the gamma entry of state q. Node j > 0 was found
-    through the entry entered[j] from node parent[j]; `cross` holds
-    (source, node, entry) for every edge into a node found before it."""
+    Node i is the integer (x*m + |v|)*len(delta) + row, numbered breadth
+    first; its row is a state's, never the sink's. An edge names the table
+    entry it takes: its delta slot, or len(delta) + q for the gamma entry of
+    state q. Node j > 0 was found through the entry entered[j] from node
+    parent[j]; `cross` holds (source, node, entry) for every edge into a
+    node found before it."""
 
     source: Qds
     initial: PathDfaState
@@ -78,7 +79,7 @@ class PathDfa:
         """Node i by name, as `build_path_dfa` encodes it."""
         s = self.source
         t = s.tables
-        rest, row = divmod(self.nodes[i], len(t.delta) + 1)
+        rest, row = divmod(self.nodes[i], len(t.delta))
         x, nv = divmod(rest, s.m)
         q = s.states[row // t.width]
         nu = s.layer_of[q] - 1
@@ -124,7 +125,8 @@ def build_path_dfa(s: Qds) -> PathDfa:
     depth = [j for j, layer in enumerate(s.layers) for _ in layer]  # |u| by state
     power = [width ** j for j in range(m)]
     columns = range(len(s.alphabet))
-    size = len(delta) + 1  # a key's row offset stays below it
+    size = len(delta)  # a key's row offset stays below the sink's
+    sink = size - width
     cap = SIZE_BUDGET // m  # states allowed
 
     def over_budget(count: int) -> str:
@@ -149,7 +151,7 @@ def build_path_dfa(s: Qds) -> PathDfa:
                 cols, base, step = columns, (rest + x * (width - 1) * m) * size, m * size
             for c in cols:
                 nxt = delta[row + c]
-                if nxt < 0:
+                if nxt == sink:
                     continue
                 key = base + c * step + nxt
                 count = len(nodes)
@@ -162,7 +164,7 @@ def build_path_dfa(s: Qds) -> PathDfa:
                     entered.append(row + c)
                 else:
                     cross.append((i, j, row + c))
-        elif g[0] >= 0:  # top layer: the one shift gamma allows
+        elif g[0] != sink:  # top layer: the one shift gamma allows
             nv = m - 1 - g[1]
             key = (x % power[nv] * m + nv) * size + g[0]
             count = len(nodes)
@@ -185,7 +187,7 @@ def _useful_marks(s: Qds) -> tuple[bytearray, bytearray, bytearray, bytearray]:
     state, edge or finality iff some useful node witnesses it."""
     pdfa = build_path_dfa(s)
     nodes, parent, entered, t = pdfa.nodes, pdfa.parent, pdfa.entered, s.tables
-    width, size = t.width, len(t.delta) + 1
+    width, size = t.width, len(t.delta)
     # a node's in-edges: its tree edge alone (None), or a list where edges
     # cross into it; the start has no tree edge
     into: list[list[tuple[int, int]] | None] = [None] * len(nodes)

@@ -121,6 +121,41 @@ def test_build_is_trusted_and_reference():
         assert_trusted(build_qds(gen_lk_nfa(K), K + 2, 1))
 
 
+def assert_ends_in_the_sink(s: Qds) -> None:
+    """Delta holds n+1 rows, the last, at the sink offset n*width, leading
+    only to itself; every entry is a row offset, the top layer's all the
+    sink; every gamma target is a layer-1 row or the sink."""
+    t, n = s.tables, len(s.states)
+    w = t.width
+    sink, top = n * w, n - len(s.layers[-1])
+    assert len(t.delta) == (n + 1) * w and len(t.gamma) == n
+    assert t.delta[sink:] == [sink] * w
+    assert all(0 <= r <= sink and r % w == 0 for r in t.delta)
+    assert t.delta[top * w:sink] == [sink] * (sink - top * w)
+    layer_one = range(0, len(s.layers[0]) * w, w)
+    assert all(g is None for g in t.gamma[:top])
+    assert all(g[0] == sink or g[0] in layer_one for g in t.gamma[top:])
+
+
+def assert_stages_end_in_the_sink(s: Qds) -> None:
+    """`s`, its prune, the trim of that and the trim's quotient."""
+    pruned = prune_unreachable(s)
+    trimmed = trim_qds(pruned)
+    for stage in (s, pruned, trimmed, quotient(trimmed, equiv_fixpoint(trimmed))):
+        assert_ends_in_the_sink(stage)
+
+
+def test_tables_end_in_the_sink():
+    for s in [*parsed_structures(), *built_structures()]:
+        assert_stages_end_in_the_sink(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(test_trim.structures())
+def test_tables_end_in_the_sink_on_generated_structures(s):
+    assert_stages_end_in_the_sink(s)
+
+
 def test_stage_outputs_hold_no_names():
     """Build, trim and the quotient hand over alphabet, layers and tables
     alone: the names enter `vars(s)` only once read."""
@@ -167,14 +202,16 @@ def test_stages_are_reference_on_generated_structures(s):
 @given(test_trim.structures())
 def test_restriction_is_reference_on_random_marks(s):
     """Random marks that keep the initial state and only edges between kept
-    states, against the name-keyed restriction of the same parts."""
+    states, drawn over the n*width slots before the sink row, against the
+    name-keyed restriction of the same parts."""
     rng = random.Random(serialize_qds(s))
     t, names, w = s.tables, s.states, s.tables.width
+    sink = len(names) * w
     keep = bytearray(rng.random() < 0.7 for _ in names)
     keep[t.initial // w] = 1
-    delta_used = bytearray(r >= 0 and keep[x // w] and keep[r // w] and rng.random() < 0.8
-                           for x, r in enumerate(t.delta))
-    gamma_used = bytearray(g is not None and keep[i] and (g[0] < 0 or keep[g[0] // w])
+    delta_used = bytearray(r != sink and keep[x // w] and keep[r // w] and rng.random() < 0.8
+                           for x, r in enumerate(t.delta[:sink]))
+    gamma_used = bytearray(g is not None and keep[i] and (g[0] == sink or keep[g[0] // w])
                            and rng.random() < 0.8 for i, g in enumerate(t.gamma))
     final = bytearray(keep[i] and rng.random() < 0.5 for i in range(len(names)))
     want = reference_restrict(

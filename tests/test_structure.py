@@ -144,12 +144,12 @@ def test_unknown_symbol_after_bottom_still_raises(two_lane_qds):
 
 def test_cached_tables_leave_equality_alone(two_lane_qds):
     """A structure equals, hashes and serializes the same before and after
-    a membership call caches its walk table and its encoder table."""
+    a membership call caches its encoder table."""
     for t in (gen_sk_qds(3), two_lane_qds, build_qds(gen_lk_nfa(2), 4, 1)):
         text, fresh, before = serialize_qds(t), parse_qds(serialize_qds(t)), hash(t)
         qds_membership(t, "abba" * 10)
-        assert {"tables", "walk_table", "symbol_bytes"} <= vars(t).keys()
-        assert "walk_table" not in vars(fresh) and "symbol_bytes" not in vars(fresh)
+        assert {"tables", "symbol_bytes"} <= vars(t).keys()
+        assert "symbol_bytes" not in vars(fresh)
         assert fresh == t and t == fresh
         assert hash(t) == before == hash(fresh)
         assert serialize_qds(t) == text
@@ -315,22 +315,6 @@ def test_membership_at_window_edges_matches_reference():
     assert ends == {("empty", False)} | {(end, shifted) for shifted in (False, True)
                                           for end in ("first", "middle", "last",
                                                       "gamma", "full", "partial")}
-
-
-def test_walk_table_is_built_once():
-    """The first membership call builds the sink-completed copy of delta and
-    the gamma entries by row offset; later calls reuse it."""
-    for s in (window_edge_qds(), gen_sk_qds(3), prune_unreachable(build_qds(gen_lk_nfa(2), 4, 1))):
-        assert "walk_table" not in vars(s)
-        qds_membership(s, "ab")
-        walk, sink, jump = table = vars(s)["walk_table"]
-        t = s.tables
-        assert sink == len(t.delta)
-        assert walk == [sink if r < 0 else r for r in t.delta] + [sink] * t.width
-        top = len(s.states) - len(s.layers[-1])
-        assert jump == {i * t.width: t.gamma[i] for i in range(top, len(s.states))}
-        qds_membership(s, "abba" * 20, want_trace=True)
-        assert vars(s)["walk_table"] is table and s.walk_table is table
 
 
 def test_iterator_chunks_match_reference(monkeypatch):
