@@ -35,7 +35,6 @@ from .reduction import (
     LayeredPartition,
     equiv_fixpoint,
     quotient,
-    verify_right_invariant,
 )
 from .structure import (
     MembershipResult,

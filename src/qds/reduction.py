@@ -10,15 +10,15 @@ matching bottom). Layer 1 is exempt from the finality comparison: as gamma
 shifts lie in 1..m-1, a run can end inside layer 1 only at the initial
 state on the empty word (a shift of m could end one there). The chain
 is run by `nfa.refine` on `Qds.tables`, one group per layer. The
-right-invariance check and the quotient read the same tables through one
-class number per state.
+quotient checks right invariance on the same tables, through one class
+number per state, and builds its tables from the class rows it checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import InputError, PreconditionError
 from .nfa import refine, subset_name, subset_names
@@ -33,8 +33,8 @@ class LayeredPartition:
     One made by `equiv_fixpoint` carries the class number of each state of
     the structure it came from, classes numbered in layer order and by
     first member within a layer, and builds the name sets of `layers` only
-    when they are read. The right-invariance check and the quotient read
-    those numbers on that structure alone."""
+    when they are read. `quotient`, the one check of right invariance,
+    reads those numbers on that structure alone."""
 
     layers: tuple[tuple[frozenset[str], ...], ...]
     steps: int
@@ -92,30 +92,23 @@ def equiv_fixpoint(s: Qds) -> LayeredPartition:
     return p
 
 
-@dataclass(frozen=True)
-class RightInvariantResult:
-    ok: bool
-    counterexample: tuple[str, str, str | int] | None  # (q, q', symbol or shift tag)
+def quotient(s: Qds, p: LayeredPartition) -> Qds:
+    """Merge every class into one state.
 
-    def __bool__(self) -> bool:
-        return self.ok
+    Requires right invariance: classmates' delta successors stay
+    equivalent (bottom only matching bottom), and top-layer classmates
+    share a shift length with equivalent targets. A refusal names the first
+    counterexample (q, q', symbol or shift), with classes in order, each
+    compared with its least member, the others in name order and symbols in
+    alphabet order. Also requires, on layers 2 and up, classes pure in
+    finality. Finals of the quotient: every non-layer-1 class meeting the
+    finals, plus the initial's class iff the initial itself is final.
 
-
-def verify_right_invariant(s: Qds, p: LayeredPartition) -> RightInvariantResult:
-    """Check both closure conditions: delta successors stay equivalent
-    (bottom only matching bottom), and top-layer classmates share a shift
-    length with equivalent targets. The counterexample is the first one met
-    with classes in order, each compared to its least member, the others in
-    sorted order and symbols in alphabet order."""
-    return _class_rows(s, p)[0]
-
-
-def _class_rows(s: Qds, p: LayeredPartition):
-    """(verdict, classes in order as collections of names, number of each
-    class's least member, class number per state with the number of classes
-    at index n for bottom), on `Qds.tables`. A partition `equiv_fixpoint`
-    made of this structure hands over its class numbers; any other one is
-    checked against the layers and numbered from its names."""
+    A partition `equiv_fixpoint` made of this structure hands over its
+    class numbers; any other one is checked against the layers and
+    numbered from its names. Each class's rows are its least member's rows
+    as checked, read off `Qds.tables`; the result carries its tables.
+    """
     names = s.states
     n = len(names)
     if p._numbers is not None and p._numbers[0] is s.layers:
@@ -128,8 +121,9 @@ def _class_rows(s: Qds, p: LayeredPartition):
         if len(p.layers) != s.m:
             raise InputError("partition layer count does not match the structure")
         for j, (layer_classes, layer) in enumerate(zip(p.layers, s.layers)):
-            covered = set().union(*layer_classes) if layer_classes else set()
-            if covered != set(layer):
+            # non-empty classes holding each state of the layer exactly once
+            flat = sorted(chain.from_iterable(layer_classes))
+            if not all(layer_classes) or flat != sorted(layer):
                 raise InputError(f"partition does not cover layer {j + 1} exactly")
         ix = {q: i for i, q in enumerate(names)}
         classes = [cls for layer in p.layers for cls in layer]
@@ -153,37 +147,20 @@ def _class_rows(s: Qds, p: LayeredPartition):
             got = rows[i]
             tag = got[0] if r >= top else s.alphabet[
                 next(c for c, (x, y) in enumerate(zip(want, got)) if x != y)]
-            return RightInvariantResult(False, (names[r], names[i], tag)), classes, reps, cid
-    return RightInvariantResult(True, None), classes, reps, cid
-
-
-def quotient(s: Qds, p: LayeredPartition) -> Qds:
-    """Merge every class into one state.
-
-    Requires right invariance and, on layers 2 and up, classes pure in
-    finality. Finals of the quotient: every non-layer-1 class meeting the
-    finals, plus the initial's class iff the initial itself is final. Each
-    class's rows are its least member's, read off `Qds.tables`; the result
-    carries its tables.
-    """
-    check, classes, reps, cid = _class_rows(s, p)
-    if not check:
-        raise PreconditionError(
-            f"partition is not right invariant, witness {check.counterexample}"
-        )
-    t = s.tables
-    w, top = t.width, len(s.states) - len(s.layers[-1])
-    mixed = [cid[i] for i in range(len(s.layers[0]), len(s.states))
+            raise PreconditionError(
+                f"partition is not right invariant, witness {(names[r], names[i], tag)}"
+            )
+    mixed = [cid[i] for i in range(len(s.layers[0]), n)
              if (i * w in t.finals) != (reps[cid[i]] * w in t.finals)]
     if mixed:
         raise PreconditionError(
             f"class {subset_name(classes[min(mixed)])} mixes final and non-final states"
         )
-    names = subset_names(classes)
+    class_names = subset_names(classes)
     layers, order, lo = [], [], 0
     for layer in s.layers:  # each layer's classes by first member
         here = list(dict.fromkeys(cid[lo:lo + len(layer)]))
-        layers.append(tuple(names[c] for c in here))
+        layers.append(tuple(class_names[c] for c in here))
         order += here
         lo += len(layer)
     sink = len(order) * w
@@ -193,13 +170,14 @@ def quotient(s: Qds, p: LayeredPartition) -> Qds:
     start = cid[t.initial // w]
     delta, gamma = [sink] * (sink + w), [None] * len(order)
     finals = []
-    for c in order:
+    for i, c in enumerate(order):
         r = reps[c]
         if r >= top:
-            target, shift = t.gamma[r]
-            gamma[new[c] // w] = (new[cid[target // w]], shift)
-        delta[new[c]:new[c] + w] = [new[cid[q // w]] for q in t.delta[r * w:r * w + w]]
+            shift, target = rows[r]
+            gamma[i] = (new[target], shift)
+        else:
+            delta[i * w:i * w + w] = [new[x] for x in rows[r]]
         if (r * w in t.finals if r >= len(s.layers[0]) else c == start and t.initial in t.finals):
-            finals.append(new[c])
+            finals.append(i * w)
     return _trusted_qds(s.alphabet, tuple(layers),
                         QdsTables(t.code, w, new[start], delta, gamma, frozenset(finals)))

@@ -26,14 +26,6 @@ def words_of_length(alphabet: Iterable[str], length: int) -> Iterator[Word]:
     return itertools.product(tuple(alphabet), repeat=length)
 
 
-def words_up_to(alphabet: Iterable[str], max_length: int) -> Iterator[Word]:
-    """All words of length 0..max_length, shortest first, lexicographic within
-    a length."""
-    alpha = tuple(alphabet)
-    for n in range(max_length + 1):
-        yield from itertools.product(alpha, repeat=n)
-
-
 def word_str(w: Iterable[str]) -> str:
     """Printable form: symbols joined bare when single-char, dot-joined
     otherwise; the empty word prints as ``_``. Symbols are never empty

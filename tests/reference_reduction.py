@@ -11,15 +11,18 @@ the sink again. `reference_fixpoint` must equal `equiv_fixpoint`, `steps`
 included, and `reference_minimize` must equal `minimize_dfa`.
 
 `verify_right_invariant` and `quotient` are the name-keyed check and
-quotient, the oracles for the library's versions on `Qds.tables`: the same
-counterexample, equal structures and the same errors.
+quotient, the oracles for `qds.reduction.quotient`, which checks right
+invariance on `Qds.tables` itself: the same counterexample in its refusal,
+equal structures and the same errors.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from qds.errors import InputError, PreconditionError
 from qds.nfa import Dfa, accessible_part, subset_name, subset_names
-from qds.reduction import LayeredPartition, RightInvariantResult
+from qds.reduction import LayeredPartition
 from qds.structure import GammaEntry, Qds
 
 _BOTTOM = "<bottom>"  # signature marker: an undefined successor/target
@@ -171,6 +174,15 @@ def reference_minimize(d: Dfa) -> Dfa:
     )
 
 
+@dataclass(frozen=True)
+class RightInvariantResult:
+    ok: bool
+    counterexample: tuple[str, str, str | int] | None  # (q, q', symbol or shift)
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 def verify_right_invariant(s: Qds, p: LayeredPartition) -> RightInvariantResult:
     """Check both closure conditions: delta successors stay equivalent
     (bottom only matching bottom), and top-layer classmates share a shift
@@ -178,8 +190,8 @@ def verify_right_invariant(s: Qds, p: LayeredPartition) -> RightInvariantResult:
     if len(p.layers) != s.m:
         raise InputError("partition layer count does not match the structure")
     for j, (classes, layer) in enumerate(zip(p.layers, s.layers)):
-        members = set().union(*classes) if classes else set()
-        if members != set(layer):
+        members = [q for cls in classes for q in cls]
+        if not all(classes) or len(members) != len(layer) or set(members) != set(layer):
             raise InputError(f"partition does not cover layer {j + 1} exactly")
 
     class_of = {q: cls for layer in p.layers for cls in layer for q in cls}

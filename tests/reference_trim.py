@@ -6,6 +6,12 @@ definition: every state tries every symbol and every shift length 1..m-1
 through `path_dfa_step`, which is also the per-step oracle of the walk,
 and usefulness is lifted over the string-keyed states.
 `reference_trim` must serialise byte-identically to `trim_qds`.
+
+`graph_useful` is the cheaper restriction that reads no window: a state is
+kept iff the plain graph of delta and non-bottom gamma edges leads to it
+from the initial state and from it to a final state. Trimming after it must
+give the exact trim; that is the hypothesis of running it as trim's first
+stage.
 """
 
 from __future__ import annotations
@@ -134,4 +140,23 @@ def reference_trim(s: Qds) -> Qds:
         {(p, x): q for p, x, q in report.useful_delta},
         {p: (q, l) for p, l, q in report.useful_gamma},
         report.useful_finalities,
+    )
+
+
+def graph_useful(s: Qds) -> Qds:
+    """`s` restricted to the states that lie on a path from the initial
+    state to a final state along delta and non-bottom gamma edges; the
+    initial state is always kept. A gamma target that is dropped becomes
+    bottom, and trailing layers left empty are dropped, as in
+    `restrict_qds`."""
+    arcs = [(p, q) for (p, _), q in s.delta.items()]
+    arcs += [(p, t) for p, (t, _) in s.gamma.items() if t is not None]
+    keep = closure({s.initial}, arcs) & closure(s.finals, [(q, p) for p, q in arcs])
+    keep.add(s.initial)
+    return restrict_qds(
+        s,
+        keep,
+        {(p, x): q for (p, x), q in s.delta.items() if p in keep and q in keep},
+        {p: (t, shift) for p, (t, shift) in s.gamma.items() if p in keep and t in keep},
+        s.finals & keep,
     )

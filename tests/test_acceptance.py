@@ -33,13 +33,13 @@ from qds import (
     quotient,
     random_nfa,
     trim_qds,
-    verify_right_invariant,
 )
 from qds.family import lk_predicate
-from qds.words import words_up_to
 from tests.reference_build import reference_build
 from tests.reference_reduction import _refine, is_identity
+from tests.reference_reduction import verify_right_invariant as reference_verify
 from tests.enumeration import scan_witness
+from tests.words import words_up_to
 
 
 def report(n: int, text: str) -> None:
@@ -207,7 +207,7 @@ def test_acceptance_6_reduction(rigid_pair_qds, slack_pair_qds):
                     for st in cls:
                         assert cls <= prev_cls[st]
             prev = nxt
-        assert verify_right_invariant(s, partition)
+        assert reference_verify(s, partition)
         reduced = quotient(s, partition)
         limit = 10 if len(s.alphabet) < 2 else 8
         for w in words_up_to(s.alphabet, limit):

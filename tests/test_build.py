@@ -17,9 +17,10 @@ from qds import (
 from qds.cli import main
 from qds.formats import parse_nfa, serialize_nfa, serialize_qds
 from qds.nfa import closure
-from qds.words import words_of_length, words_up_to
+from qds.words import words_of_length
 from tests.conftest import mk_nfa, window_cases
 from tests.reference_build import reference_build
+from tests.words import words_up_to
 
 
 @pytest.fixture

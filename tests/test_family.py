@@ -4,16 +4,21 @@ import pytest
 
 from qds import (
     InputError,
+    build_qds,
     determinize,
+    equiv_fixpoint,
     gap_report,
     gen_lk_nfa,
     gen_sk_qds,
     minimize_dfa,
     nfa_membership,
+    prune_unreachable,
     qds_membership,
+    quotient,
+    trim_qds,
 )
 from qds.family import family_instance, lk_predicate
-from qds.words import words_up_to
+from tests.words import words_up_to
 
 
 def dfa_accepts(d, w):
@@ -48,6 +53,32 @@ def test_minimal_dfa_sizes():
     for k in range(9):
         d = minimize_dfa(determinize(gen_lk_nfa(k)))
         assert len(d.states) == 2 ** (k + 1), k
+
+
+def test_lk_compiled_size_depends_on_the_input():
+    """Observed, with no proof. L_K at (K+2, 1), K = 0..7, compiled by
+    build, prune, trim, reduce and by build, reduce, trim, reduce: from its
+    NFA both orders give 4K+5 states; from its minimal DFA, the same
+    language, the second order gives 2K²+6K+1 for K >= 1 and the first
+    2K²+10K+9. So neither order reaches a size that depends only on the
+    language and the window."""
+
+    def reduce(s):
+        return quotient(s, equiv_fixpoint(s))
+
+    def sizes(a, K):
+        s = build_qds(a, K + 2, 1)
+        return (len(reduce(trim_qds(prune_unreachable(s))).states),
+                len(reduce(trim_qds(reduce(s))).states))
+
+    from_nfa, from_dfa = [], []
+    for K in range(8):
+        a = gen_lk_nfa(K)
+        from_nfa.append(sizes(a, K))
+        from_dfa.append(sizes(minimize_dfa(determinize(a)), K))
+    assert from_nfa == [(4 * K + 5, 4 * K + 5) for K in range(8)]
+    assert [prune_first for prune_first, _ in from_dfa] == [9, 21, 37, 57, 81, 109, 141, 177]
+    assert [reduce_first for _, reduce_first in from_dfa] == [5, 9, 21, 37, 57, 81, 109, 141]
 
 
 def test_sk_counts():

@@ -13,9 +13,9 @@ from qds import (
     random_nfa,
 )
 from qds.nfa import Nfa, _restrict, accessible_states, coaccessible_states
-from qds.words import words_up_to
 from tests.conftest import mk_nfa
 from tests.reference_reduction import reference_minimize
+from tests.words import words_up_to
 
 
 def trim_nfa(a: Nfa) -> Nfa:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,13 +21,13 @@ from qds import (
     quotient,
     random_nfa,
     trim_qds,
-    verify_right_invariant,
 )
 from qds.nfa import refine
 from qds.reduction import LayeredPartition
-from qds.words import words_up_to
 from tests import test_trim
 from tests.reference_reduction import _refine, identity_partition, is_identity, reference_fixpoint
+from tests.reference_reduction import verify_right_invariant as reference_verify
+from tests.words import words_up_to
 
 
 def built_corpus(n_structures, kcap=3):
@@ -80,7 +82,7 @@ def test_refinement_chain_properties():
             for q, cls in nxt_class.items():
                 assert cls <= prev_class[q]
             prev = nxt
-        assert verify_right_invariant(s, partition)
+        assert reference_verify(s, partition)
         # finality never mixes outside layer 1
         for layer in partition.layers[1:]:
             for cls in layer:
@@ -146,12 +148,12 @@ def test_fixpoint_base_step_ignores_gamma_targets():
     assert p.steps == 1 and is_identity(p)
 
 
-# --- right invariance -------------------------------------------------------
+# --- right invariance, checked by quotient ----------------------------------
 
 
 def test_identity_is_right_invariant(two_lane_qds, slack_pair_qds):
     for s in (two_lane_qds, slack_pair_qds):
-        assert verify_right_invariant(s, identity_partition(s))
+        assert len(quotient(s, identity_partition(s)).states) == len(s.states)
 
 
 def test_mixed_shift_merge_rejected(rigid_pair_qds):
@@ -163,10 +165,8 @@ def test_mixed_shift_merge_rejected(rigid_pair_qds):
         ),
         steps=0,
     )
-    check = verify_right_invariant(rigid_pair_qds, bad)
-    assert not check.ok
-    q, q2, tag = check.counterexample
-    assert {q, q2} == {"3", "5"}
+    with pytest.raises(PreconditionError, match=re.escape("witness ('3', '5', 2)")):
+        quotient(rigid_pair_qds, bad)
 
 
 def test_delta_violation_reported(two_lane_qds):
@@ -178,14 +178,22 @@ def test_delta_violation_reported(two_lane_qds):
         ),
         steps=0,
     )
-    check = verify_right_invariant(two_lane_qds, bad)
-    assert not check.ok and check.counterexample[2] in two_lane_qds.alphabet
+    with pytest.raises(PreconditionError, match=re.escape("witness ('1', '6', 'a')")):
+        quotient(two_lane_qds, bad)
 
 
 def test_partition_must_cover_layers(two_lane_qds):
     short = LayeredPartition(layers=((frozenset({"1"}),),), steps=0)
-    with pytest.raises(InputError):
-        verify_right_invariant(two_lane_qds, short)
+    with pytest.raises(InputError, match="layer count"):
+        quotient(two_lane_qds, short)
+    # 4 in two classes, then an empty class: neither is a partition of layer 3
+    lower = (frozenset({"1"}), frozenset({"6"})), tuple(frozenset({q}) for q in "237")
+    for top in [(frozenset({"4", "5"}), frozenset({"4"}), frozenset({"8"})),
+                (frozenset({"4"}), frozenset({"5"}), frozenset({"8"}), frozenset())]:
+        bad = LayeredPartition(layers=(*lower, top), steps=0)
+        for check in (quotient, reference_verify):
+            with pytest.raises(InputError, match="does not cover layer 3 exactly"):
+                check(two_lane_qds, bad)
 
 
 # --- quotient ----------------------------------------------------------------
@@ -246,6 +254,13 @@ def test_quotient_rejects_mixed_finality():
     )
     with pytest.raises(PreconditionError):
         quotient(s, mixed)
+    # r also in a class of its own: no partition, though every state's own
+    # class is pure
+    overlap = LayeredPartition(
+        layers=((frozenset({"p"}),), (frozenset({"q", "r"}), frozenset({"r"}))), steps=0
+    )
+    with pytest.raises(InputError, match="does not cover layer 2 exactly"):
+        quotient(s, overlap)
 
 
 def test_quotient_refuses_colliding_class_names(comma_name_qds):

@@ -32,10 +32,10 @@ from qds import (
 from qds import structure
 from qds.formats import parse_nfa, parse_qds, serialize_qds
 from qds.structure import format_trace
-from qds.words import words_up_to
 from tests import test_trim
 from tests.conftest import mk_nfa, window_cases
 from tests.reference_structure import QdsEdge, analyze_path, counted_run, extended_delta
+from tests.words import words_up_to
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -16,6 +16,7 @@ from qds import (
     equiv_fixpoint,
     exists_kl,
     find_minimal_kl,
+    gen_sk_qds,
     is_kl_unambiguous,
     prune_unreachable,
     qds_membership,
@@ -27,13 +28,14 @@ from qds import (
 from qds.cli import main
 from qds.formats import parse_automaton, serialize_qds
 from qds.trim import PathDfaState
-from qds.words import words_up_to
 from tests.reference_trim import (
+    graph_useful,
     path_dfa_step,
     reference_path_dfa,
     reference_trim,
     reference_useful,
 )
+from tests.words import words_up_to
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -363,6 +365,21 @@ def test_trim_is_reference_on_built_structures():
 def test_trim_is_reference_on_data():
     for s in data_corpus():
         assert_walk_is_reference(s)
+
+
+def test_graph_usefulness_then_trim_is_trim():
+    """Graph usefulness reads no window, so it can keep states the exact
+    trim drops; trimming what it keeps gives the exact trim on the built
+    structures, data/ and S_0..S_5. It drops states on some of them, and
+    trim drops more on some."""
+    graph_dropped = trim_dropped = 0
+    for s in [*built_corpus(), *data_corpus(), *map(gen_sk_qds, range(6))]:
+        g = graph_useful(s)
+        trimmed = trim_qds(g)
+        assert trimmed == trim_qds(s)
+        graph_dropped += len(g.states) < len(s.states)
+        trim_dropped += len(trimmed.states) < len(g.states)
+    assert graph_dropped and trim_dropped
 
 
 def converging_corpus():
