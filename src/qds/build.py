@@ -68,7 +68,7 @@ def build_qds(a: Nfa, k: int, l: int, table: StepTable | None = None) -> Qds:
     starts = [0, *accumulate(sizes)]
     width, top = max(len(a.alphabet), 1), starts[-2]
     sink = starts[-1] * width
-    _, pred = kernels.masks(a)
+    _, pred = a.masks
     ends = sum(1 << i for i, q in enumerate(a.states) if q in a.finals)
     finals = [starts[j] + i * len(level) + c  # w leads from q into the finals
               for j, level in enumerate(kernels.can_read(pred, ends, k))

@@ -1,6 +1,7 @@
 """State sets as int bitmasks: the (k,l) decision as one walk on the square
 graph, and the forward and backward set tables the step table and the
-build read.
+build read, all on the integer form `Nfa.arcs` and `Nfa.masks`, which each
+automaton builds once.
 
 A bad row is a pair (q, w), |w| = k, such that for every split 1 <= i <= l
 more than one state reached from q by w[1..i] can still read w[i+1..k]. An
@@ -9,9 +10,10 @@ square graph has a walk labelled w from (q,q) whose pairs at positions 1..l
 are off-diagonal (see the `kl` module docstring), so `find_bad_row` never
 enumerates windows: a set of pairs (p, r) is a list of |Q| int row masks, a
 backward pass finds the pairs from which the walk can still be finished,
-and a forward pass reads off the first bad row. `_python_witness`
-enumerates the rows straight off the definition; it is the oracle the tests
-hold the walk to.
+and a forward pass reads off the first bad row. `_split` states the row
+rule once, off the definition, and `_python_witness` applies it to every
+row; it is the oracle the tests hold the walk to, and `kl.step` reads
+`_split` for one row.
 
 The image of a state set under a per-state table of masks (its successors
 or predecessors on one symbol) is read off byte tables: `spans` turns the
@@ -22,18 +24,16 @@ call by whoever reads them: the walk's backward pass builds the predecessor
 tables, and its forward pass the successor tables only once a bad row is
 known to exist.
 
-`arcs` numbers the states and symbols in declared order and `masks` turns
-the arcs into per-symbol successor and predecessor masks; `fronts` and
-`can_read` tabulate, per word in lexicographic rank, the states a word
-leads to and the states from which it leads into a target set, one
-comprehension over the byte tables per depth: from every state for the
-step table, into every state for the step table and into the finals for
-the build.
+`fronts` and `can_read` tabulate, per word in lexicographic rank, the
+states a word leads to and the states from which it leads into a target
+set, one comprehension over the byte tables per depth: from every state
+for the step table, into every state for the step table and into the
+finals for the build.
 """
 
 from __future__ import annotations
 
-from .nfa import Nfa
+from .nfa import Nfa, delta_word
 from .words import Word, words_of_length
 
 
@@ -84,31 +84,6 @@ def _settle(first: list[int], nxt, count: int) -> list[list[int]]:
     return chain
 
 
-def arcs(a: Nfa) -> list[tuple[int, int, int]]:
-    """(p, x, q) for every transition, states and symbols numbered in
-    declared order."""
-    ix = {q: i for i, q in enumerate(a.states)}
-    sym = {x: j for j, x in enumerate(a.alphabet)}
-    return [(ix[p], sym[x], ix[q]) for p, x, q in a.transitions]
-
-
-def masks(a: Nfa) -> tuple[list[list[int]], list[list[int]]]:
-    """(succ, pred) with states and symbols numbered in declared order:
-    succ[x][p] is the bitmask of p's x-successors, pred[x][r] that of r's
-    x-predecessors."""
-    return _masks(arcs(a), len(a.states), len(a.alphabet))
-
-
-def _masks(moves, n: int, s: int) -> tuple[list[list[int]], list[list[int]]]:
-    """`masks` of the numbered arcs `moves` on n states and s symbols."""
-    succ = [[0] * n for _ in range(s)]
-    pred = [[0] * n for _ in range(s)]
-    for p, x, q in moves:
-        succ[x][p] |= 1 << q
-        pred[x][q] |= 1 << p
-    return succ, pred
-
-
 def fronts(succ: list[list[int]], starts: list[int], depth: int) -> list[list[int]]:
     """fronts[j][i * |alphabet|^j + c]: the states reached from the set
     starts[i] by the j-symbol word of lexicographic rank c, for j =
@@ -138,8 +113,8 @@ def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
     |Q|-bit ints; the pair sets kept are O(min(k, |Q|^2) * |Q|^2) bits, and
     the byte tables 2^8 * ceil(|Q|/8) masks per symbol and direction."""
     n = len(a.states)
-    moves = arcs(a)
-    succ, pred = _masks(moves, n, len(a.alphabet))
+    moves = a.arcs
+    succ, pred = a.masks
     back = [images(table) for table in pred]
     flat = [(p, x * n + q) for p, x, q in moves]
 
@@ -220,12 +195,21 @@ def find_bad_row(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
     return a.states[i0], tuple(word)
 
 
+def _split(a: Nfa, l: int, q: str, w: Word) -> tuple[int, str | None] | None:
+    """The (k,l) row rule: (j, survivor) for the largest split j <= l of `w`
+    at `q` leaving at most one live state (reached by w[:j], able to read
+    w[j:]), survivor None if none is; None when no split does: a bad row."""
+    for j in range(l, 0, -1):
+        live = {r for r in delta_word(a, {q}, w[:j]) if delta_word(a, {r}, w[j:])}
+        if len(live) <= 1:
+            return j, next(iter(live), None)
+    return None
+
+
 def _python_witness(a: Nfa, k: int, l: int) -> tuple[str, Word] | None:
     """Reference implementation straight off the definition: the first row,
-    in (state, lexicographic word) order, where the (k,l) row rule `kl._split`
-    finds no split; the oracle for `find_bad_row`."""
-    from .kl import _split
-
+    in (state, lexicographic word) order, where the row rule `_split` finds
+    no split; the oracle for `find_bad_row`."""
     return next(((q, w) for q in a.states for w in words_of_length(a.alphabet, k)
                  if _split(a, l, q, w) is None), None)
 

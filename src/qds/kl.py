@@ -1,13 +1,15 @@
 """Window-lookahead analysis of NFAs.
 
 Everything here reads the square automaton, the product of an automaton
-with itself. "Can a bounded window ever disambiguate this automaton?" holds
-iff every cycle of the accessible pair graph visits a diagonal state. A
-single (k,l) is decided by a walk: state q has a bad (k,l) row (q, w) iff
-the square graph has a walk labelled w from (q,q) whose pairs at positions
-1..l are off-diagonal. Such a walk gives two runs on w that differ at every
-split up to l; conversely a bad row has two live states at each of those
-splits, and Menger's theorem turns that trellis of live states into two
+with itself, built once as a graph on pair ids by `_pair_arcs`:
+`square_automaton` names its pairs, and `exists_kl` searches it. "Can a
+bounded window ever disambiguate this automaton?" holds iff every cycle of
+the accessible pair graph visits a diagonal state. A single (k,l) is
+decided by a walk: state q has a bad (k,l) row (q, w) iff the square graph
+has a walk labelled w from (q,q) whose pairs at positions 1..l are
+off-diagonal. Such a walk gives two runs on w that differ at every split
+up to l; conversely a bad row has two live states at each of those splits,
+and Menger's theorem turns that trellis of live states into two
 vertex-disjoint runs. `kernels.find_bad_row` runs that walk, taking the
 image of each row of a pair set from byte tables;
 `kernels._python_witness`, which enumerates every (state, window) row
@@ -18,13 +20,12 @@ The same argument at l = k gives the minimal window: a (k,k) bad row exists
 iff the diagonal-free square graph has a path of k nodes, hence k_min = 1 +
 the longest such path.
 
-The step table reads the same bitmasks: a row's live states at split j are
-the front of its j-symbol prefix intersected with the states that can read
-the rest (`kernels.fronts`, `kernels.can_read`), each tabulated once for
-every state and word, a set's image taking one byte-table read per 8
-states. `_split` states the row rule once, off the definition: `step`
-reads it for one row, as the table's oracle that raises its errors, and
-`kernels._python_witness` for every row, as the walk's oracle.
+The step table reads the same bitmasks, `Nfa.masks`: a row's live states
+at split j are the front of its j-symbol prefix intersected with the
+states that can read the rest (`kernels.fronts`, `kernels.can_read`), each
+tabulated once for every state and word, a set's image taking one
+byte-table read per 8 states. `step` reads one row by the row rule
+`kernels._split`, as the table's oracle that raises its errors.
 
 Constructions whose size grows with k are checked against SIZE_BUDGET
 (`errors.SIZE_BUDGET`) before anything is allocated.
@@ -37,7 +38,7 @@ from itertools import islice
 
 from . import kernels
 from .errors import SIZE_BUDGET, InputError, PreconditionError
-from .nfa import Nfa, Node, accessible_states, delta_word
+from .nfa import Nfa, Node
 from .words import Word, words_of_length
 
 
@@ -96,38 +97,41 @@ def _check_request(a: Nfa, k: int, l: int) -> None:
     _require_single_initial(a)
 
 
-def _split(a: Nfa, l: int, q: str, w: Word) -> tuple[int, str | None] | None:
-    """The (k,l) row rule: (j, survivor) for the largest split j <= l of `w`
-    at `q` leaving at most one live state (reached by w[:j], able to read
-    w[j:]), survivor None if none is; None when no split does: a bad row."""
-    for j in range(l, 0, -1):
-        live = {r for r in delta_word(a, {q}, w[:j]) if delta_word(a, {r}, w[j:])}
-        if len(live) <= 1:
-            return j, next(iter(live), None)
-    return None
+def _pair_arcs(a: Nfa) -> dict[int, list[tuple[str, int]]]:
+    """The accessible square graph on pair ids p*|Q| + r: each pair found
+    from (i,i) under the product rule delta'((p,r),x) = delta(p,x) x
+    delta(r,x), with its arcs (x, pair) in symbol, then target order."""
+    init = _require_single_initial(a)
+    n = len(a.states)
+    succ, _ = a.masks
+    start = a.states.index(init) * (n + 1)
+    arcs: dict[int, list[tuple[str, int]]] = {start: []}
+    stack = [start]
+    while stack:
+        pair = stack.pop()
+        p, r = divmod(pair, n)
+        for x, fwd in zip(a.alphabet, succ):
+            for t in kernels.bits(fwd[p]):
+                for u in kernels.bits(fwd[r]):
+                    target = t * n + u
+                    arcs[pair].append((x, target))
+                    if target not in arcs:
+                        arcs[target] = []
+                        stack.append(target)
+    return arcs
 
 
 def square_automaton(a: Nfa) -> SquareAutomaton:
     """Pair graph from (i,i) under the product rule
-    delta'((p,q),a) = delta(p,a) x delta(q,a)."""
-    init = _require_single_initial(a)
-    start = PairState(init, init)
-    seen = {start}
-    frontier = [start]
-    transitions: set[tuple[PairState, str, PairState]] = set()
-    while frontier:
-        pair = frontier.pop()
-        for sym in a.alphabet:
-            left = a.successors(pair.first, sym)
-            right = a.successors(pair.second, sym)
-            for p in left:
-                for q in right:
-                    target = PairState(p, q)
-                    transitions.add((pair, sym, target))
-                    if target not in seen:
-                        seen.add(target)
-                        frontier.append(target)
-    return SquareAutomaton(frozenset(seen), frozenset(transitions))
+    delta'((p,q),a) = delta(p,a) x delta(q,a): `_pair_arcs` with its pairs
+    named."""
+    n = len(a.states)
+    arcs = _pair_arcs(a)
+    name = {pair: PairState(a.states[pair // n], a.states[pair % n]) for pair in arcs}
+    return SquareAutomaton(
+        frozenset(name.values()),
+        frozenset((name[pair], x, name[t]) for pair, out in arcs.items() for x, t in out),
+    )
 
 
 def _cycle_or_longest_path(
@@ -179,29 +183,15 @@ def exists_kl(a: Nfa) -> KlReport:
     (`repr` of `PairState` and of the transition triple), the order the
     certificate is found in.
     """
-    init = _require_single_initial(a)
-    missing = set(a.states) - accessible_states(a)
+    n = len(a.states)
+    arcs = _pair_arcs(a)
+    # q is accessible iff the pair (q,q) is
+    missing = [q for i, q in enumerate(a.states) if i * (n + 1) not in arcs]
     if missing:
         raise PreconditionError(
             f"automaton must be accessible (unreachable: {sorted(missing)}); "
             "restrict to the accessible part first"
         )
-    n = len(a.states)
-    succ, _ = kernels.masks(a)
-    start = a.states.index(init) * (n + 1)
-    arcs: dict[int, list[tuple[str, int]]] = {start: []}  # accessible pair -> (symbol, pair)
-    stack = [start]
-    while stack:
-        pair = stack.pop()
-        p, r = divmod(pair, n)
-        for x, fwd in zip(a.alphabet, succ):
-            for t in kernels.bits(fwd[p]):
-                for u in kernels.bits(fwd[r]):
-                    target = t * n + u
-                    arcs[pair].append((x, target))
-                    if target not in arcs:
-                        arcs[target] = []
-                        stack.append(target)
     spelled = {
         pair: f"({a.states[pair // n]},{a.states[pair % n]})"
         for pair in arcs if pair // n != pair % n
@@ -264,7 +254,7 @@ def step(a: Nfa, k: int, l: int, q: str, w) -> StepEntry:
         raise InputError(f"window must have length {k}, got {len(w)}")
     if q not in a.states:
         raise InputError(f"unknown state {q!r}")
-    split = _split(a, l, q, w)
+    split = kernels._split(a, l, q, w)
     if split is None:
         raise PreconditionError(
             f"no split of window {''.join(w)!r} at state {q!r} disambiguates: "
@@ -295,7 +285,7 @@ def step_table(a: Nfa, k: int, l: int) -> StepTable:
     _check_request(a, k, l)
     if not a.alphabet:  # no window to read: no rows
         return StepTable(k=k, l=l, entries=[])
-    succ, pred = kernels.masks(a)
+    succ, pred = a.masks
     live_after = kernels.can_read(pred, (1 << n) - 1, k - 1)
     reached = kernels.fronts(succ, [1 << i for i in range(n)], l)
     # row r = i*s^k + c splits at j into the prefix front r // s^(k-j) of

@@ -28,7 +28,8 @@ class Nfa:
 
     `alphabet` and `states` are ordered; declared order fixes word
     enumeration order and serialization order. State ids are opaque
-    non-whitespace strings.
+    non-whitespace strings. The integer form, `arcs` and `masks`, is built
+    on first read and kept, outside equality and hashing.
     """
 
     alphabet: tuple[str, ...]
@@ -79,6 +80,26 @@ class Nfa:
         for p, a, q in self.transitions:
             table.setdefault((p, a), set()).add(q)
         return {k: frozenset(v) for k, v in table.items()}
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """(p, x, q) for every transition, in declared order, with states and
+        symbols numbered in declared order."""
+        ix = {q: i for i, q in enumerate(self.states)}
+        sym = {x: j for j, x in enumerate(self.alphabet)}
+        return tuple((ix[p], sym[x], ix[q]) for p, x, q in self.transitions)
+
+    @cached_property
+    def masks(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(succ, pred) on the numbering of `arcs`: succ[x][p] is the bitmask
+        of p's x-successors, pred[x][r] that of r's x-predecessors."""
+        n, s = len(self.states), len(self.alphabet)
+        succ = [[0] * n for _ in range(s)]
+        pred = [[0] * n for _ in range(s)]
+        for p, x, q in self.arcs:
+            succ[x][p] |= 1 << q
+            pred[x][q] |= 1 << p
+        return tuple(map(tuple, succ)), tuple(map(tuple, pred))
 
     def successors(self, state: str, symbol: str) -> frozenset[str]:
         if symbol not in self.alphabet:

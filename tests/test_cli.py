@@ -503,31 +503,60 @@ def test_cli_never_exits_1_on_an_error(text):
 
 ROOT = Path(__file__).resolve().parent.parent
 QUOTED = ("check", "exists", "minimal", "lookahead", "member")  # first line in the comment
+DROPS = {"states": "state", "edges": "delta", "gamma": "gamma", "finality": "finality"}
 
 
 def readme_examples():
-    """(argv, exit code, first line) of each README example of a quoted
-    command: its comment is the first line the command prints, a final
-    " ..." standing for the rest of the line, and a trailing "(exit N)"
-    gives a code other than 0."""
+    """(argv, exit code, comment) of each README example on `data/` whose
+    comment states a result; a trailing "(exit N)" gives a code other
+    than 0."""
     text = (ROOT / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     for line in block.splitlines():
         command, _, comment = line.partition("#")
         argv = shlex.split(command)
-        if argv[1:2] and argv[1] in QUOTED and comment.strip():
-            first, code = re.fullmatch(r"\s*(.*?)\s*(?:\(exit (\d)\))?", comment).groups()
-            yield argv[1:], int(code or 0), first
+        if argv[1:2] and argv[1] in (*QUOTED, "build-qds", "trim") \
+                and "data/" in command and comment.strip():
+            said, code = re.fullmatch(r"\s*(.*?)\s*(?:\(exit (\d)\))?", comment).groups()
+            yield argv[1:], int(code or 0), said
 
 
-def test_readme_examples_print_what_their_comments_say(monkeypatch, capsys):
+def _dropped(said: str) -> list[tuple[str, str]]:
+    """The (kind, detail) rows a "drops states 7 8, edges (2,c,3), ..."
+    comment names, a gamma row by its source state."""
+    rows = []
+    for part in said.removeprefix("drops ").split(", "):
+        kind, *items = part.split()
+        rows += [(DROPS[kind], " ".join(item.strip("()").split(","))) for item in items]
+    return sorted(rows)
+
+
+def test_readme_examples_print_what_their_comments_say(monkeypatch, capsys, tmp_path):
+    """A quoted command's comment is the first line it prints, a final
+    " ..." standing for the rest of the line; `build-qds` writes the number
+    of states its comment gives, and `trim --report` drops what its comment
+    lists."""
     examples = list(readme_examples())
-    assert sorted(argv[0] for argv, _, _ in examples) == sorted([*QUOTED, "check"])
+    assert sorted(argv[0] for argv, _, _ in examples) == sorted(
+        [*QUOTED, "check", "build-qds", "trim"])
     monkeypatch.chdir(ROOT)
-    for argv, code, first in examples:
+    for argv, code, said in examples:
+        if "--out" in argv:  # written to a scratch directory, not the checkout
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
         assert main(argv) == code, argv
-        line = capsys.readouterr().out.splitlines()[0]
-        if first.endswith(" ..."):
-            assert line.startswith(first[:-3]), argv
+        out, err = capsys.readouterr()
+        if argv[0] == "build-qds":
+            built = parse_qds(Path(argv[argv.index("--out") + 1]).read_text())
+            assert f"{len(built.states)} states" == said, argv
+        elif argv[0] == "trim":
+            # the structure goes to stdout, so the report to stderr
+            head, *lines = err.splitlines()
+            rows = [line.split("\t") for line in lines]
+            got = sorted((kind, detail.split()[0] if kind == "gamma" else detail)
+                         for kind, detail in rows)
+            assert head == "kind\tdetail" and got == _dropped(said), argv
+        elif said.endswith(" ..."):
+            assert out.splitlines()[0].startswith(said[:-3]), argv
         else:
-            assert line == first, argv
+            assert out.splitlines()[0] == said, argv

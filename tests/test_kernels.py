@@ -228,7 +228,7 @@ def test_fronts_and_can_read_match_bit_loops():
 
     for a in _window_automata():
         n, s = len(a.states), len(a.alphabet)
-        succ, pred = kernels.masks(a)
+        succ, pred = a.masks
         starts = [1 << i for i in range(n)] + [(1 << n) - 1, 0b101 & ((1 << n) - 1)]
         depth = 3
         got = kernels.fronts(succ, starts, depth)

@@ -20,12 +20,13 @@ from qds import (
     step,
     step_table,
 )
-from qds import KlReport, StepEntry, kernels, kl
+from qds import StepEntry, kernels, kl
 from qds.formats import parse_nfa
 from qds.kernels import _python_witness
 from qds.words import words_of_length
 from tests.conftest import mk_nfa, window_cases
 from tests.enumeration import scan_witness
+from tests.reference_kl import reference_exists, reference_square
 
 
 @pytest.fixture
@@ -117,44 +118,63 @@ def test_exists_counterexample_certificate(ambiguous_loop_nfa):
         )
 
 
-def _exists_on_square_automaton(a):
-    """`exists_kl` on the `square_automaton` of `a`: the pairs, the
-    diagonal-free graph and its root and edge order rebuilt from the
-    PairState graph, the oracle for the walk on pair ids."""
-    square = square_automaton(a)
-    nodes = {p for p in square.states if p.first != p.second}
-    edges = {p: [] for p in nodes}
-    for s, _, t in sorted(square.transitions, key=repr):
-        if s in nodes and t in nodes and t not in edges[s]:
-            edges[s].append(t)
-    cycle, longest = kl._cycle_or_longest_path(sorted(nodes, key=repr), edges)
-    if cycle is not None:
-        return KlReport(exists=False, certificate=tuple(cycle), k_min=None)
-    return KlReport(exists=True, certificate=None, k_min=1 + longest)
+def _relabelled(a, seed):
+    """`a` with names whose printed order differs from the declared one:
+    multi-character names, commas and brackets in names, quotes in
+    symbols."""
+    rng = random.Random(seed)
+    names = {q: rng.choice(["x", "q(", "a,b", "10"]) + q for q in a.states}
+    syms = {x: rng.choice(["a", "it's", "b2"]) + str(i) for i, x in enumerate(a.alphabet)}
+    return mk_nfa([syms[x] for x in a.alphabet], [names[q] for q in a.states],
+                  [names[q] for q in a.initials], [names[q] for q in a.finals],
+                  [(names[p], syms[x], names[q]) for p, x, q in a.transitions])
 
 
-def test_exists_matches_square_automaton():
-    """Same verdict, k_min and certificate, pair for pair, on seeded NFAs
-    and on relabellings whose printed order differs from the declared one
-    (multi-character names, commas and brackets in names, quotes in
-    symbols)."""
+def _square_corpus():
+    """Seeded accessible NFAs with 1-9 states over 1-3 symbols, each
+    followed by a relabelling."""
     for seed in range(300):
         a = accessible_part(random_nfa(seed, 1 + seed % 9, 1 + seed % 3,
                                        (0.1, 0.2, 0.35)[seed % 3], 0.5))
-        assert exists_kl(a) == _exists_on_square_automaton(a)
-        rng = random.Random(seed)
-        names = {q: rng.choice(["x", "q(", "a,b", "10"]) + q for q in a.states}
-        syms = {x: rng.choice(["a", "it's", "b2"]) + str(i) for i, x in enumerate(a.alphabet)}
-        odd = mk_nfa([syms[x] for x in a.alphabet], [names[q] for q in a.states],
-                     [names[q] for q in a.initials], [names[q] for q in a.finals],
-                     [(names[p], syms[x], names[q]) for p, x, q in a.transitions])
-        assert exists_kl(odd) == _exists_on_square_automaton(odd)
+        yield a
+        yield _relabelled(a, seed)
+
+
+def test_exists_matches_square_automaton():
+    """Same verdict, k_min and certificate, pair for pair, as the name-keyed
+    product and search of `tests/reference_kl.py`, on seeded NFAs and on
+    relabellings whose printed order differs from the declared one."""
+    for a in _square_corpus():
+        assert exists_kl(a) == reference_exists(a)
+
+
+def test_square_automaton_matches_reference():
+    """The pair-id graph lifted to names is the name-keyed product, pairs
+    and transitions, on the seeded NFAs and their relabellings and on an
+    empty alphabet; several initial states are refused with one message."""
+    for a in _square_corpus():
+        assert square_automaton(a) == reference_square(a)
+    bare = mk_nfa("", ["0", "1"], ["0"], ["1"], [])
+    assert square_automaton(bare) == reference_square(bare)
+    assert square_automaton(bare).states == {kl.PairState("0", "0")}
+    multi = mk_nfa("a", ["0", "1"], ["0", "1"], [], [("0", "a", "1")])
+    errors = []
+    for construct in (square_automaton, reference_square):
+        with pytest.raises(PreconditionError) as info:
+            construct(multi)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
 
 
 def test_exists_requires_accessible():
-    a = mk_nfa("a", ["0", "1"], ["0"], [], [])
-    with pytest.raises(PreconditionError):
+    """The unreachable states are named in sorted order; several initial
+    states are refused first."""
+    a = mk_nfa("a", ["0", "2", "1"], ["0"], [], [("1", "a", "2")])
+    with pytest.raises(PreconditionError, match=r"unreachable: \['1', '2'\]\)"):
         exists_kl(a)
+    multi = mk_nfa("a", ["0", "1", "2"], ["0", "1"], [], [])
+    with pytest.raises(PreconditionError, match="single initial state"):
+        exists_kl(multi)
 
 
 # --- the (k,l) check ----------------------------------------------------

@@ -12,6 +12,7 @@ from qds import (
     nfa_membership,
     random_nfa,
 )
+from qds.formats import serialize_nfa
 from qds.nfa import Nfa, _restrict, accessible_states, coaccessible_states
 from tests.conftest import mk_nfa
 from tests.reference_reduction import reference_minimize
@@ -241,3 +242,47 @@ def test_nfa_validation_errors():
             frozenset(),
             (("0", "a", "0"), ("0", "a", "1")),
         )
+
+
+# --- the integer form ---------------------------------------------------
+
+
+def _integer_form_cases():
+    """Seeded random NFAs, a subset construction's output and an automaton
+    with no symbols."""
+    for seed in range(60):
+        yield random_nfa(seed, 1 + seed % 9, 1 + seed % 3, (0.1, 0.25, 0.5)[seed % 3], 0.4)
+    yield determinize(random_nfa(5, 6, 2, 0.3, 0.5))
+    yield mk_nfa("", ["0", "1", "2"], ["0"], ["2"], [])
+
+
+def test_integer_form_is_built_once_and_leaves_equality_alone():
+    """`arcs` and `masks` are computed on first read and kept; reading them
+    changes neither equality, nor the hash, nor the serialized text."""
+    for a in _integer_form_cases():
+        text, before = serialize_nfa(a), hash(a)
+        fresh = type(a)(a.alphabet, a.states, a.initials, a.finals, a.transitions)
+        assert a.arcs is a.arcs and a.masks is a.masks
+        assert {"arcs", "masks"} <= vars(a).keys()
+        assert "masks" not in vars(fresh)
+        assert fresh == a and a == fresh
+        assert hash(a) == before == hash(fresh)
+        assert serialize_nfa(a) == text
+
+
+def test_integer_form_matches_a_rebuild():
+    """arcs numbers each transition in declared order, and succ[x][p] and
+    pred[x][r] are rebuilt here one transition at a time from
+    `successors`."""
+    for a in _integer_form_cases():
+        ix = {q: i for i, q in enumerate(a.states)}
+        sym = {x: j for j, x in enumerate(a.alphabet)}
+        assert a.arcs == tuple((ix[p], sym[x], ix[q]) for p, x, q in a.transitions)
+        succ = [[0] * len(a.states) for _ in a.alphabet]
+        pred = [[0] * len(a.states) for _ in a.alphabet]
+        for p in a.states:
+            for x in a.alphabet:
+                for q in a.successors(p, x):
+                    succ[sym[x]][ix[p]] |= 1 << ix[q]
+                    pred[sym[x]][ix[q]] |= 1 << ix[p]
+        assert a.masks == (tuple(map(tuple, succ)), tuple(map(tuple, pred)))
